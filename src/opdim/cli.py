@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import dlo, multiorder, patterns, ranks
 from .contexts import BudgetExceededError, FiniteContext
 from .logic import (
-    DLO_SIGNATURE, FiniteStructure, LogicError, load_structure,
+    DLO_SIGNATURE, LogicError, load_structure,
     parse_formula, parse_partitioned, print_formula,
 )
 from .multiorder import MultiOrderError
@@ -37,31 +37,51 @@ class CliInputError(Exception):
 
 
 def _max_universe():
-    raw = os.environ.get("OPDIM_MAX_UNIVERSE")
-    if raw is None:
-        return 4096
+    raw = os.environ.get("OPDIM_MAX_UNIVERSE", "4096")
     try:
         return int(raw)
     except ValueError:
         raise CliInputError(f"OPDIM_MAX_UNIVERSE={raw!r} is not an integer")
 
 
-def _load_context(name, num_vars):
-    """'dlo' selects the symbolic engine; anything else is a structure file."""
+def _load(name, texts, subset=None):
+    """Load the context `name` ('dlo' selects the symbolic engine; anything
+    else is a structure file) and parse each formula text once against its
+    signature.  Returns the context, the structure (None for 'dlo'), the
+    partitioned formulas, and the base set: everything of the formulas'
+    object sort, cut down by the --subset formula when one is given."""
     if name == "dlo":
-        return dlo.DloContext(num_vars), DLO_SIGNATURE, None
-    structure = load_structure(name)
-    if len(structure.universe) > _max_universe():
-        raise CliInputError(
-            f"universe of {len(structure.universe)} exceeds OPDIM_MAX_UNIVERSE")
-    return FiniteContext(structure), structure.signature, structure
+        sig, structure = DLO_SIGNATURE, None
+    else:
+        structure = load_structure(name)
+        if len(structure.universe) > _max_universe():
+            raise CliInputError(
+                f"universe of {len(structure.universe)} exceeds OPDIM_MAX_UNIVERSE")
+        sig = structure.signature
+    formulas = [parse_partitioned(t, sig) for t in texts]
+    where = parse_partitioned(subset, sig) if subset else None
+    # a set over pairs read as a set over elements answers the wrong question
+    arities = {len(f.obj_vars) for f in formulas + [where] if f is not None}
+    if len(arities) != 1 or where is not None and where.param_vars:
+        raise CliInputError("need at least one formula, all of one object sort, and "
+                            "a --subset of that sort without parameters")
+    arity, = arities
+    # looked up on the module at each call, so perfbench/spans.py can trace it
+    context = dlo.DloContext(arity) if structure is None else FiniteContext(structure)
+    base = context.top(arity)
+    if where is not None:
+        base = context.restrict(base, where, (), 1)
+    return context, structure, formulas, base
 
 
 def _parse_value(text, structure):
     """A witness value: a rational for the symbolic engine, an element name
     otherwise."""
     if structure is None:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise CliInputError(f"value {text!r} has a zero denominator") from None
     for e in structure.universe:
         if str(e) == str(text):
             return e
@@ -72,27 +92,6 @@ def _parse_grid(spec, structure):
     if spec is None:
         return None
     return [( _parse_value(v.strip(), structure),) for v in spec.split(",") if v.strip()]
-
-
-def _partitioned(texts, sig):
-    return [parse_partitioned(t, sig) for t in texts]
-
-
-def _base_set(context, args, sig):
-    if getattr(args, "subset", None):
-        return context.to_set(_subset_from_formula(context, args.subset, sig))
-    arity = getattr(context, "arity", None)
-    if arity is not None:
-        return context.top()
-    return context.top(args.arity)
-
-
-def _subset_from_formula(context, text, sig):
-    phi = parse_partitioned(text, sig)
-    if phi.param_vars:
-        raise CliInputError("the subset formula takes no parameters")
-    s = context.top() if hasattr(context, "obj_vars") else context.top(len(phi.obj_vars))
-    return context.restrict(s, phi, (), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +106,14 @@ def make_report(command, config, result, elapsed):
     return {**payload, "timing": {"seconds": round(elapsed, 6)}, "hash": digest}
 
 
-def emit(report, fmt, out=None):
-    out = out or sys.stdout
+def emit(report, fmt):
     if fmt == "json":
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
+        json.dump(report, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
     else:
         for key, value in sorted(report["result"].items()):
-            out.write(f"{key}: {json.dumps(value, sort_keys=True)}\n")
-        out.write(f"hash: {report['hash']}\n")
+            sys.stdout.write(f"{key}: {json.dumps(value, sort_keys=True)}\n")
+        sys.stdout.write(f"hash: {report['hash']}\n")
 
 
 def _config(args, keys):
@@ -127,79 +125,48 @@ def _config(args, keys):
 
 
 def cmd_rank(args):
-    deltas = args.delta or []
-    if not deltas:
-        raise CliInputError("at least one --delta formula is required")
-    num_vars = len(parse_partitioned(deltas[0], DLO_SIGNATURE).obj_vars) \
-        if args.context == "dlo" else None
-    context, sig, structure = _load_context(args.context, num_vars)
-    delta = _partitioned(deltas, sig)
-    args.arity = len(delta[0].obj_vars)
-    subset = _base_set(context, args, sig)
-    query = RankQuery(context, subset, delta, n=args.n, cap=args.cap)
+    context, _, delta, base = _load(args.context, args.delta, args.subset)
+    query = RankQuery(context, base, delta, n=args.n, cap=args.cap)
     value = ranks.shelah_rank2(query) if args.shelah else ranks.op_rank(query)
     return {"rank": value.to_json(), "kind": "shelah2" if args.shelah else f"op{args.n}"}
 
 
 def cmd_opdim(args):
-    deltas = args.delta or []
-    if not deltas:
-        raise CliInputError("at least one --delta formula is required")
-    num_vars = len(parse_partitioned(deltas[0], DLO_SIGNATURE).obj_vars) \
-        if args.context == "dlo" else None
-    context, sig, structure = _load_context(args.context, num_vars)
-    delta = _partitioned(deltas, sig)
-    args.arity = len(delta[0].obj_vars)
-    subset = _base_set(context, args, sig)
-    value = ranks.localized_opd(context, subset, delta, cap=args.cap,
+    context, _, delta, base = _load(args.context, args.delta, args.subset)
+    value = ranks.localized_opd(context, base, delta, cap=args.cap,
                                 max_n=args.max_n)
     return {"opdim": value}
 
 
 def cmd_dprank(args):
-    pool_texts = args.pool or []
-    if not pool_texts:
-        raise CliInputError("at least one --pool formula is required")
-    num_vars = len(parse_partitioned(pool_texts[0], DLO_SIGNATURE).obj_vars) \
-        if args.context == "dlo" else None
-    context, sig, structure = _load_context(args.context, num_vars)
-    pool = _partitioned(pool_texts, sig)
-    args.arity = len(pool[0].obj_vars)
-    subset = _base_set(context, args, sig)
-    value = patterns.dp_rank_lower(context, subset, pool, args.cap,
+    context, structure, pool, base = _load(args.context, args.pool, args.subset)
+    value = patterns.dp_rank_lower(context, base, pool, args.cap,
                                    length=args.length,
                                    witness_grid=_parse_grid(args.grid, structure),
                                    budget=args.budget)
     return {"dp_rank_lower": value}
 
 
-def _cmd_pattern(args, searcher, checker, cls):
+def cmd_pattern(args):
+    """ird or ict: verify the --check pattern file, or search over --pool."""
+    ird = args.command == "ird"
     if args.check:
         with open(args.check) as fh:
             doc = json.load(fh)
-        num_vars = None
-        if args.context == "dlo":
-            first = parse_partitioned(doc["formulas"][0], DLO_SIGNATURE)
-            num_vars = len(first.obj_vars)
-        context, sig, structure = _load_context(args.context, num_vars)
-        args.arity = num_vars if num_vars is not None else \
-            len(parse_partitioned(doc["formulas"][0], sig).obj_vars)
-        base = _base_set(context, args, sig)
-        pattern = patterns.pattern_from_json(
-            doc, context, sig, base, lambda v: _parse_value(v, structure), cls)
-        ok, failing = checker(pattern)
+        if not isinstance(doc, dict) or not isinstance(doc.get("formulas"), list):
+            raise CliInputError("a pattern file is a JSON object with a 'formulas' list")
+        context, structure, formulas, base = _load(args.context, doc["formulas"],
+                                                   args.subset)
+        witnesses = [[[_parse_value(v, structure) for v in w] for w in row]
+                     for row in doc["witnesses"]]
+        cls = patterns.IRDPattern if ird else patterns.ICTPattern
+        pattern = cls(context, base, formulas, witnesses)
+        ok, failing = (patterns.check_ird if ird else patterns.check_ict)(pattern)
         return {"verified": ok,
                 "failing_selector": list(failing) if failing else None,
                 "depth": pattern.depth, "length": pattern.length}
-    pool_texts = args.pool or []
-    if not pool_texts:
-        raise CliInputError("at least one --pool formula is required")
-    num_vars = len(parse_partitioned(pool_texts[0], DLO_SIGNATURE).obj_vars) \
-        if args.context == "dlo" else None
-    context, sig, structure = _load_context(args.context, num_vars)
-    pool = _partitioned(pool_texts, sig)
-    args.arity = len(pool[0].obj_vars)
-    base = _base_set(context, args, sig)
+    context, structure, pool, base = _load(args.context, args.pool or [], args.subset)
+    searcher = patterns.search_ird if ird else patterns.search_ict
     result = searcher(context, base, pool, args.depth, length=args.length,
                       witness_grid=_parse_grid(args.grid, structure),
                       budget=args.budget)
@@ -209,21 +176,9 @@ def _cmd_pattern(args, searcher, checker, cls):
     return out
 
 
-def cmd_ird(args):
-    return _cmd_pattern(args, patterns.search_ird, patterns.check_ird,
-                        patterns.IRDPattern)
-
-
-def cmd_ict(args):
-    return _cmd_pattern(args, patterns.search_ict, patterns.check_ict,
-                        patterns.ICTPattern)
-
-
 def cmd_mo(args):
     sub = args.mo_command
     if sub == "gen":
-        if args.size > _max_universe():
-            raise BudgetExceededError(f"size {args.size} exceeds OPDIM_MAX_UNIVERSE")
         mo = multiorder.generate_generic(args.n, args.size, args.seed,
                                          size_cap=_max_universe())
         return {"multiorder": multiorder.multiorder_to_dict(mo)}
@@ -239,28 +194,28 @@ def cmd_mo(args):
         return {"map": {str(a): list(img) for a, img in emb.point_map},
                 "verified": ok, "reason": why}
     if sub == "amalgamate":
-        B = multiorder.load_multiorder(args.file)
         C = multiorder.load_multiorder(args.other)
-        shared = tuple(b for b in B.universe if b in set(C.universe))
-        A = B.restrict(shared)
+        shared = tuple(b for b in mo.universe if b in set(C.universe))
+        A = mo.restrict(shared)
         ident = lambda T: multiorder.Embedding(A, T, tuple((x, x) for x in shared))
-        am = multiorder.amalgamate(A, B, C, ident(B), ident(C))
+        am = multiorder.amalgamate(A, mo, C, ident(mo), ident(C))
         return {"shared": list(shared),
                 "multiorder": multiorder.multiorder_to_dict(am.result)}
     if sub == "extcheck":
         return {"level": args.k,
                 "satisfied": multiorder.extension_property_level(mo, args.k)}
-    if sub == "moptest":
-        context, sig, structure = _load_context(args.host, 1)
-        phi = parse_partitioned(args.phi, sig)
-        pos = mo.positions(0)
-        point_map = tuple(
-            (a, (Fraction(pos[a]),) if structure is None else (mo.orders[0][pos[a]],))
-            for a in mo.universe)
-        witness = multiorder.PictureWitness(mo, context, point_map, phi)
-        report = multiorder.check_mop_witness(witness, budget=args.budget)
-        return report.to_json()
-    raise CliInputError(f"unknown mo subcommand {sub!r}")
+    context, structure, (phi,), _ = _load(args.host, [args.phi])  # moptest
+    if len(phi.obj_vars) != 1:
+        raise CliInputError("--phi must have one object variable")
+    # on dlo an element stands at its position in the first order; on a
+    # structure file its label must name a host element
+    pos = mo.positions(0)
+    point_map = tuple(
+        (a, (Fraction(pos[a]) if structure is None else _parse_value(a, structure),))
+        for a in mo.universe)
+    witness = multiorder.PictureWitness(mo, context, point_map, phi)
+    report = multiorder.check_mop_witness(witness, budget=args.budget)
+    return report.to_json()
 
 
 def cmd_omin(args):
@@ -281,18 +236,16 @@ def cmd_omin(args):
             return {"pattern": None, "reason": "dimension 0 or empty"}
         ok, _ = patterns.check_ird(pattern)
         return {"pattern": pattern.to_json(), "verified": ok}
-    if sub == "prodcheck":
-        g = parse_formula(args.other, DLO_SIGNATURE)
-        dim_f = dlo.dimension(f, args.m).dimension
-        dim_g = dlo.dimension(g, args.m1).dimension
-        prod = dlo.product(f, args.m, g, args.m1)
-        dim_p = dlo.dimension(prod, args.m + args.m1).dimension
-        additive = None
-        if dim_f is not None and dim_g is not None:
-            additive = dim_p == dim_f + dim_g
-        return {"dim_left": dim_f, "dim_right": dim_g, "dim_product": dim_p,
-                "additive": additive}
-    raise CliInputError(f"unknown omin subcommand {sub!r}")
+    g = parse_formula(args.other, DLO_SIGNATURE)  # prodcheck
+    dim_f = dlo.dimension(f, args.m).dimension
+    dim_g = dlo.dimension(g, args.m1).dimension
+    prod = dlo.product(f, args.m, g, args.m1)
+    dim_p = dlo.dimension(prod, args.m + args.m1).dimension
+    additive = None
+    if dim_f is not None and dim_g is not None:
+        additive = dim_p == dim_f + dim_g
+    return {"dim_left": dim_f, "dim_right": dim_g, "dim_product": dim_p,
+            "additive": additive}
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +254,6 @@ def cmd_omin(args):
 
 def _add_common(p, *, cap=True, grid=False, budget=False, length=False):
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0)
     if cap:
         p.add_argument("--cap", type=int, default=6)
     if grid:
@@ -343,7 +295,7 @@ def build_parser():
     p.set_defaults(run=cmd_dprank,
                    config_keys=("cap", "pool", "subset", "length", "grid", "budget"))
 
-    for name, fn in (("ird", cmd_ird), ("ict", cmd_ict)):
+    for name in ("ird", "ict"):
         p = sub.add_parser(name, help=f"{name} pattern search or verification")
         p.add_argument("context")
         p.add_argument("--pool", action="append")
@@ -351,14 +303,15 @@ def build_parser():
         p.add_argument("--subset", default=None)
         p.add_argument("--check", default=None, help="verify a pattern JSON file")
         _add_common(p, cap=False, grid=True, budget=True, length=True)
-        p.set_defaults(run=fn, config_keys=("pool", "depth", "subset", "length",
-                                            "grid", "budget", "check"))
+        p.set_defaults(run=cmd_pattern, config_keys=("pool", "depth", "subset", "length",
+                                                     "grid", "budget", "check"))
 
     p = sub.add_parser("mo", help="multi-order operations")
     mo_sub = p.add_subparsers(dest="mo_command", required=True)
     q = mo_sub.add_parser("gen")
     q.add_argument("-n", type=int, required=True)
     q.add_argument("--size", type=int, required=True)
+    q.add_argument("--seed", type=int, default=0)
     _add_common(q, cap=False)
     q.set_defaults(run=cmd_mo, config_keys=("n", "size", "seed"))
     for name in ("cuts", "embed", "extcheck"):

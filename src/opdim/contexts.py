@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .logic import DefinableSubset, FiniteStructure, PartitionedFormula, evaluate
+from .logic import FiniteStructure, PartitionedFormula, evaluate
 
 
 class BudgetExceededError(Exception):
@@ -55,11 +55,6 @@ class FiniteContext:
             mask |= 1 << index[t]
         return FinSet(subset.arity, mask)
 
-    def to_subset(self, s):
-        tuples, _ = self.space(s.arity)
-        members = frozenset(tuples[i] for i in range(len(tuples)) if s.mask >> i & 1)
-        return DefinableSubset(self.structure, s.arity, members)
-
     def _solution_mask(self, phi: PartitionedFormula, params):
         key = (phi, params)
         cached = self._sol_cache.get(key)
@@ -73,10 +68,6 @@ class FiniteContext:
                 mask |= 1 << i
         self._sol_cache[key] = mask
         return mask
-
-    def full_mask(self, arity):
-        tuples, _ = self.space(arity)
-        return (1 << len(tuples)) - 1
 
     def restrict(self, s, phi, params, sign):
         m = self._solution_mask(phi, params)
@@ -110,9 +101,7 @@ class FiniteContext:
             cur = self.restrict(cur, c.phi, c.params, c.sign)
             if cur.mask == 0:
                 return None
-        tuples, _ = self.space(s.arity)
-        lowest = (cur.mask & -cur.mask).bit_length() - 1
-        return tuples[lowest]
+        return self.pick(cur)
 
     def witness_params(self, phi: PartitionedFormula, extra=()):
         """Parameter tuples for witness searches; finite contexts use everything."""

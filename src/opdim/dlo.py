@@ -15,7 +15,7 @@ from .contexts import BudgetExceededError
 from .logic import (
     And, Atom, Bot, Eq, Exists, Forall, Imp, Not, Or, Rat, Top, Var,
     FALSE, TRUE, PartitionedFormula, conj_all, disj_all, free_vars, rename_vars,
-    signed, subst,
+    signed,
 )
 
 
@@ -449,11 +449,16 @@ def _project(g, var):
         if proj not in seen:
             seen.add(proj)
             keep.append(proj)
-    if not keep:
+    return _diagram_disjunction(keep, remaining, consts)
+
+
+def _diagram_disjunction(diagrams, variables, consts):
+    """FALSE for no diagrams, TRUE for all of them, else their disjunction."""
+    if not diagrams:
         return FALSE
-    if len(keep) == len(enumerate_diagrams(remaining, consts)):
+    if len(diagrams) == len(enumerate_diagrams(variables, consts)):
         return TRUE
-    return disj_all(d.to_formula() for d in keep)
+    return disj_all(d.to_formula() for d in diagrams)
 
 
 def _qe(f):
@@ -476,13 +481,7 @@ def qe_dlo(f, variables=None):
     g = _qe(f)
     if variables is None:
         variables = sorted(free_vars(g))
-    consts = constants_of(g)
-    sat = order_diagrams(g, variables)
-    if not sat:
-        return FALSE
-    if len(sat) == len(enumerate_diagrams(variables, consts)):
-        return TRUE
-    return disj_all(d.to_formula() for d in sat)
+    return _diagram_disjunction(order_diagrams(g, variables), variables, constants_of(g))
 
 
 # ---------------------------------------------------------------------------
@@ -675,28 +674,22 @@ class DloContext:
             raise DloError("cannot pick from an empty set")
         return tuple(env.get(v, Fraction(0)) for v in self.obj_vars)
 
-    def grid(self, *formulas, extra=()):
-        consts = set(extra)
-        for f in formulas:
-            consts |= constants_of(f)
-        return standard_grid(consts)
-
-    def instance_candidates(self, phi: PartitionedFormula, s=None):
-        consts = constants_of(phi.body)
-        if s is not None:
-            consts |= constants_of(s.formula)
+    def _grid_params(self, phi: PartitionedFormula, consts):
+        """Every parameter tuple for phi over the standard grid of consts."""
         grid = standard_grid(consts)
         k = len(phi.param_vars)
         if len(grid) ** k > self.max_candidates:
             raise BudgetExceededError("symbolic parameter grid too large")
         return [tuple(p) for p in itertools.product(grid, repeat=k)]
 
+    def instance_candidates(self, phi: PartitionedFormula, s=None):
+        consts = constants_of(phi.body)
+        if s is not None:
+            consts |= constants_of(s.formula)
+        return self._grid_params(phi, consts)
+
     def witness_params(self, phi: PartitionedFormula, extra=()):
-        grid = standard_grid(constants_of(phi.body) | set(extra))
-        k = len(phi.param_vars)
-        if len(grid) ** k > self.max_candidates:
-            raise BudgetExceededError("symbolic parameter grid too large")
-        return [tuple(p) for p in itertools.product(grid, repeat=k)]
+        return self._grid_params(phi, constants_of(phi.body) | set(extra))
 
     def holds(self, phi: PartitionedFormula, obj, params):
         body = self._instance_body(phi, params)

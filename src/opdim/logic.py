@@ -474,10 +474,6 @@ class DefinableSubset:
         tuples = frozenset(itertools.product(structure.universe, repeat=arity))
         return cls(structure, arity, tuples)
 
-    @classmethod
-    def defined_by(cls, structure, f, variables):
-        return cls(structure, len(tuple(variables)), frozenset(solutions(structure, f, variables)))
-
 
 # ---------------------------------------------------------------------------
 # Independence dimension (shattering)
@@ -741,7 +737,10 @@ class _Parser:
     def term(self):
         kind, val, line, col = self.next()
         if kind == "rat":
-            return Rat(Fraction(val))
+            try:
+                return Rat(Fraction(val))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {val}", line, col) from None
         if kind == "at":
             nkind, nval, nline, ncol = self.next()
             if nkind not in ("name", "rat"):

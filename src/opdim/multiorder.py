@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .contexts import BudgetExceededError, FiniteContext
 from .logic import FiniteStructure, PartitionedFormula, Signature

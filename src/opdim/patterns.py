@@ -104,24 +104,24 @@ def _ict_constraints(pattern, selector):
     return out
 
 
+def _check(pattern, constraints_of, selector_bound):
+    s = pattern.context.to_set(pattern.base)
+    for f in _selector_space(pattern.depth, pattern.length, selector_bound):
+        if pattern.context.sat(s, constraints_of(pattern, f)) is None:
+            return False, f
+    return True, None
+
+
 def check_ird(pattern: IRDPattern, selector_bound=SELECTOR_BOUND):
     """Exhaustively check every threshold selector; returns (ok, failing
     selector or None)."""
-    s = pattern.context.to_set(pattern.base)
-    for f in _selector_space(pattern.depth, pattern.length, selector_bound):
-        if pattern.context.sat(s, _ird_constraints(pattern, f)) is None:
-            return False, f
-    return True, None
+    return _check(pattern, _ird_constraints, selector_bound)
 
 
 def check_ict(pattern: ICTPattern, selector_bound=SELECTOR_BOUND):
     """Exhaustively check every single-hit selector; returns (ok, failing
     selector or None)."""
-    s = pattern.context.to_set(pattern.base)
-    for f in _selector_space(pattern.depth, pattern.length, selector_bound):
-        if pattern.context.sat(s, _ict_constraints(pattern, f)) is None:
-            return False, f
-    return True, None
+    return _check(pattern, _ict_constraints, selector_bound)
 
 
 def ird_to_ict(pattern: IRDPattern) -> ICTPattern:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .contexts import BudgetExceededError, Constraint
+from .contexts import BudgetExceededError
 
 
 class InconsistentTypeError(Exception):
@@ -66,7 +66,7 @@ class RankQuery:
             raise ValueError("Delta must be nonempty")
 
 
-def _base_set(q: RankQuery):
+def _nonempty_base(q: RankQuery):
     ctx = q.context
     s = ctx.to_set(q.subset)
     if ctx.is_empty(s):
@@ -137,13 +137,13 @@ class _RankEngine:
 def op_rank(q: RankQuery) -> RankValue:
     """rank >= a+1 iff n instances from Delta split the set into 2^n nonempty
     sign cells, each of rank >= a."""
-    s = _base_set(q)
+    s = _nonempty_base(q)
     return _RankEngine(q.context, q.delta, q.n, q.cap).rank(s)
 
 
 def shelah_rank2(q: RankQuery) -> RankValue:
     """Shelah 2-rank: iterated two-way splitting by single instances."""
-    s = _base_set(q)
+    s = _nonempty_base(q)
     engine = _Shelah2Engine(q.context, q.delta, q.cap)
     return engine.rank(s)
 

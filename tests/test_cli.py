@@ -268,3 +268,134 @@ def test_reports_validate_against_schema(capsys, chain4_file):
         code, doc, _ = run_json(capsys, *argv)
         assert code == 0
         jsonschema.validate(doc, schema("report"))
+
+
+# ---------------------------------------------------------------------------
+# pinned reports: the same argv must give the same report on every version
+
+
+MO_B = {"n": 2, "universe": ["a", "b", "c"], "orders": [["a", "b", "c"], ["c", "a", "b"]]}
+MO_C = {"n": 2, "universe": ["a", "b", "d"], "orders": [["a", "d", "b"], ["d", "a", "b"]]}
+ICT_DOC = {"depth": 1, "length": 3, "formulas": ["x0 ; w : x0 = w"],
+           "witnesses": [[["0"], ["1/2"], ["2"]]]}
+IRD_CHAIN_DOC = {"depth": 1, "length": 3, "formulas": ["x ; y : x < y"],
+                 "witnesses": [[["1"], ["2"], ["3"]]]}
+
+
+@pytest.fixture
+def files(tmp_path, chain4_file):
+    paths = {"chain4": chain4_file}
+    for name, doc in (("b", MO_B), ("c", MO_C), ("ict", ICT_DOC), ("ird", IRD_CHAIN_DOC)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    return paths
+
+
+# argv with {file} placeholders, and the report's hash when its config holds
+# no file path, or else its result (the temporary path moves the hash)
+PINNED = [
+    (("rank", "{chain4}", "--delta", "x ; y : x < y", "--cap", "8"),
+     {"hash": "0cc080e228d7bee3cd70ed22e48fe27be1f78e46e951a0ad762a829165df9b2a"}),
+    (("rank", "{chain4}", "--delta", "x ; y : x < y", "--subset", "x ; : 0 < x", "-n", "2"),
+     {"hash": "4467e6f7727cfacf6a627abc01b41d7112e765fcbaf7fbc8914e3f31e1faf22b"}),
+    (("rank", "dlo", "--delta", "x0 ; y : x0 < y", "--cap", "3"),
+     {"hash": "316dadced4c059dac38863612cb95b688c62134a8eb8191bfb47e2dfb705250b"}),
+    (("rank", "dlo", "--delta", "x0 ; y : x0 < y", "--subset", "x0 ; : 0 < x0 & x0 < 1",
+      "--cap", "3"),
+     {"hash": "12c77a08432ded3d482bd3c796c44fed6e293f6a00ab80d67d089cddfed501ef"}),
+    (("rank", "{chain4}", "--shelah", "--delta", "x ; y : x < y", "--delta", "x ; y : x = y"),
+     {"hash": "7f2490288ba876e4c24fc655f97eb3e2f954a63f96a9f597668ec9c15831b8d0"}),
+    (("opdim", "dlo", "--delta", "x0 ; y : x0 < y", "--cap", "4", "--max-n", "3"),
+     {"hash": "f83b88192272656f41301c70886aa16a19bf4d86c5f46fab6d201267a61adb0b"}),
+    (("dprank", "{chain4}", "--pool", "x ; y : x = y", "--cap", "2", "--length", "2"),
+     {"hash": "099a7058845ecd48cb21f362fc3addcbf9b6e72f9f02a732a796057c318453d9"}),
+    (("ird", "dlo", "--pool", "x0 ; w : x0 < w", "--depth", "1", "--length", "2",
+      "--grid", "0,1/2,1"),
+     {"hash": "d417261fcf7db16216e16049a751772e7632eef383ee6896660aa9d63ad80755"}),
+    (("ict", "dlo", "--check", "{ict}"),
+     {"result": {"depth": 1, "failing_selector": None, "length": 3, "verified": True}}),
+    (("ird", "{chain4}", "--check", "{ird}"),
+     {"result": {"depth": 1, "failing_selector": None, "length": 3, "verified": True}}),
+    (("mo", "gen", "-n", "2", "--size", "6", "--seed", "7"),
+     {"hash": "c9950d33fa30601dbca828d86beb4918d43d4cd6d9f8544794496658e4465fda"}),
+    (("mo", "amalgamate", "{b}", "{c}"),
+     {"result": {"shared": ["a", "b"], "multiorder": {
+         "n": 2,
+         "universe": ["('B', 'a')", "('B', 'b')", "('B', 'c')", "('C', 'd')"],
+         "orders": [["('B', 'a')", "('C', 'd')", "('B', 'b')", "('B', 'c')"],
+                    ["('B', 'c')", "('C', 'd')", "('B', 'a')", "('B', 'b')"]]}}}),
+    (("mo", "moptest", "{b}"),
+     {"result": {"definable": 8, "total": 16, "status": "exhaustive",
+                 "missing": [[0, 1], [0, 2], [1, 1], [1, 2], [2, 1], [2, 2], [3, 1], [3, 2]]}}),
+]
+
+
+@pytest.mark.parametrize("argv, want", PINNED, ids=[" ".join(a[:2]) for a, _ in PINNED])
+def test_report_pinned(capsys, files, argv, want):
+    code, doc, _ = run_json(capsys, *(a.format(**files) for a in argv))
+    assert code == 0
+    (key, value), = want.items()
+    assert doc[key] == value
+
+
+def test_seed_belongs_to_mo_gen_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "dlo", "--delta", "x0 ; y : x0 < y", "--seed", "1"])
+    assert exc.value.code == 2
+    code, doc, _ = run_json(capsys, "mo", "gen", "-n", "2", "--size", "6", "--seed", "7")
+    assert code == 0 and doc["config"]["seed"] == 7
+
+
+# ---------------------------------------------------------------------------
+# input errors exit 2, never 1 with a traceback
+
+
+BAD_FILES = {
+    "zero_witness": {"depth": 1, "length": 2, "formulas": ["x0 ; w : x0 < w"],
+                     "witnesses": [[["0"], ["1/0"]]]},
+    "no_formulas": {"depth": 0, "length": 0, "formulas": [], "witnesses": []},
+    "not_object": [],
+    "abc": {"n": 1, "universe": ["a", "b", "c"], "orders": [["a", "b", "c"]]},
+}
+
+
+@pytest.fixture
+def bad_files(tmp_path, chain4_file):
+    paths = {"chain4": chain4_file}
+    for name, doc in BAD_FILES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("argv", [
+    ("omin", "dim", "x0 < 1/0", "-m", "1"),
+    ("omin", "qe", "x < 1/0"),
+    ("dprank", "dlo", "--pool", "x0 ; w : x0 < w", "--grid", "1/0"),
+    ("ict", "dlo", "--check", "{zero_witness}"),
+    ("ict", "dlo", "--check", "{no_formulas}"),
+    ("ict", "dlo", "--check", "{not_object}"),
+    # a --subset or a formula of another object sort than the first formula
+    ("rank", "{chain4}", "--delta", "x ; y : x < y", "--subset", "x z ; : x < z"),
+    ("rank", "dlo", "--delta", "x0 ; y : x0 < y", "--subset", "x0 x1 ; : x0 < x1"),
+    ("rank", "{chain4}", "--delta", "x ; y : x < y", "--delta", "x z ; y : x < z"),
+    ("rank", "{chain4}", "--delta", "x ; y : x < y", "--subset", "x ; y : x < y"),
+    # multi-order labels that name no element of the host structure
+    ("mo", "moptest", "{abc}", "--host", "{chain4}"),
+], ids=lambda argv: " ".join(argv))
+def test_input_error_exits_2(capsys, bad_files, argv):
+    code, out, err = run(capsys, *(a.format(**bad_files) for a in argv))
+    assert code == 2 and out == "" and err.startswith("error (input): ")
+
+
+def test_mo_moptest_host_labels_name_elements(capsys, tmp_path, chain4_file):
+    # the labels "0" "1" "2" name the 4-chain's integer elements 0 1 2, and
+    # x < b for b = 0..3 cuts out {}, {0}, {0,1}, {0,1,2}: every cut of 0 < 1 < 2
+    path = tmp_path / "mo.json"
+    path.write_text(json.dumps({"n": 1, "universe": ["0", "1", "2"],
+                                "orders": [["0", "1", "2"]]}))
+    code, doc, _ = run_json(capsys, "mo", "moptest", str(path), "--host", chain4_file)
+    assert code == 0 and doc["result"]["status"] == "exhaustive"
+    assert doc["result"]["definable"] == 4 and doc["result"]["total"] == 4
