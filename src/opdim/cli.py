@@ -2,7 +2,8 @@
 pattern searches, multi-order operations, and dimension computations, and
 emit deterministic reports.
 
-Exit codes: 0 success, 2 input error, 3 budget overflow.
+Exit codes: 0 success, 2 input error, 3 budget overflow (which includes a
+formula nested past Python's recursion limit).
 """
 from __future__ import annotations
 
@@ -72,6 +73,20 @@ def _load(name, texts, subset=None):
     if where is not None:
         base = context.restrict(base, where, (), 1)
     return context, structure, formulas, base
+
+
+def _load_multiorder(path):
+    mo = multiorder.load_multiorder(path)
+    if mo.size > _max_universe():
+        raise CliInputError(f"multi-order of {mo.size} exceeds OPDIM_MAX_UNIVERSE")
+    return mo
+
+
+def _nested_strings(x, depth):
+    """Whether x is a list of lists ... `depth` deep with strings at the bottom."""
+    if depth == 0:
+        return isinstance(x, str)
+    return isinstance(x, list) and all(_nested_strings(y, depth - 1) for y in x)
 
 
 def _parse_value(text, structure):
@@ -153,8 +168,11 @@ def cmd_pattern(args):
     if args.check:
         with open(args.check) as fh:
             doc = json.load(fh)
-        if not isinstance(doc, dict) or not isinstance(doc.get("formulas"), list):
-            raise CliInputError("a pattern file is a JSON object with a 'formulas' list")
+        # the shape of schemas/pattern.json
+        if not (isinstance(doc, dict) and _nested_strings(doc.get("formulas"), 1)
+                and _nested_strings(doc.get("witnesses"), 3)):
+            raise CliInputError("a pattern file is a JSON object with a 'formulas' list "
+                                "of strings and a 'witnesses' list of rows of lists of strings")
         context, structure, formulas, base = _load(args.context, doc["formulas"],
                                                    args.subset)
         witnesses = [[[_parse_value(v, structure) for v in w] for w in row]
@@ -182,9 +200,7 @@ def cmd_mo(args):
         mo = multiorder.generate_generic(args.n, args.size, args.seed,
                                          size_cap=_max_universe())
         return {"multiorder": multiorder.multiorder_to_dict(mo)}
-    mo = multiorder.load_multiorder(args.file)
-    if mo.size > _max_universe():
-        raise CliInputError(f"multi-order of {mo.size} exceeds OPDIM_MAX_UNIVERSE")
+    mo = _load_multiorder(args.file)
     if sub == "cuts":
         cuts = multiorder.enumerate_multicuts(mo)
         return {"count": len(cuts), "expected": (mo.size + 1) ** mo.n}
@@ -194,7 +210,7 @@ def cmd_mo(args):
         return {"map": {str(a): list(img) for a, img in emb.point_map},
                 "verified": ok, "reason": why}
     if sub == "amalgamate":
-        C = multiorder.load_multiorder(args.other)
+        C = _load_multiorder(args.other)
         shared = tuple(b for b in mo.universe if b in set(C.universe))
         A = mo.restrict(shared)
         ident = lambda T: multiorder.Embedding(A, T, tuple((x, x) for x in shared))
@@ -379,6 +395,11 @@ def main(argv=None):
     except _INPUT_ERRORS as exc:
         _emit_error(args, "input", f"{type(exc).__name__}: {exc}")
         return EXIT_INPUT
+    except RecursionError:
+        # the parser builds left-nested chains and the walkers recurse on them
+        _emit_error(args, "budget", "formula nested past the recursion limit "
+                                    f"({sys.getrecursionlimit()})")
+        return EXIT_BUDGET
     elapsed = time.monotonic() - started
     command = [args.command] + [getattr(args, k) for k in
                                 ("mo_command", "omin_command")

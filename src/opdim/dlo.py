@@ -91,9 +91,10 @@ def constants_of(f):
 # ---------------------------------------------------------------------------
 # Literal-level satisfiability (disjunctive normal form + order graph)
 #
-# Nodes are variables ("v", name) or rational constants ("c", value).
-# A conjunct is consistent iff the <=-closure has no strict cycle, no
-# forced-equal disequalities, and no two distinct constants forced equal.
+# Nodes are variables ("v", name) or rational constants ("c", value), and
+# consecutive constants are joined by strict edges.  A conjunct is consistent
+# iff no strict edge and no disequality joins two nodes of one strongly
+# connected component of its <=-graph.
 
 _CONJUNCT_BOUND = 200_000
 
@@ -149,181 +150,81 @@ def _conjuncts(f, neg=False):
     raise DloError(f"cannot normalize {f!r} (quantifier-free only)")
 
 
-def _scc(nodes, edges):
-    """Iterative Tarjan; edges: node -> set of successors."""
-    index = {}
-    low = {}
-    comp = {}
+def _scc(succ):
+    """Iterative Tarjan over nodes 0..n-1 with successor lists: each node's
+    component id.  A component gets its id only after every component it
+    reaches, so decreasing ids are a topological order."""
+    n = len(succ)
+    index = [None] * n
+    low = [0] * n
+    comp = [None] * n
     stack = []
-    on_stack = set()
-    counter = itertools.count()
-    ncomp = itertools.count()
-    for root in nodes:
-        if root in index:
+    counter = ncomp = 0
+    for root in range(n):
+        if index[root] is not None:
             continue
-        work = [(root, iter(edges.get(root, ())))]
-        index[root] = low[root] = next(counter)
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
         while work:
             node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = next(counter)
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(edges.get(succ, ()))))
-                    advanced = True
+            for nxt in it:
+                if index[nxt] is None:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    work.append((nxt, iter(succ[nxt])))
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                cid = next(ncomp)
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = cid
-                    if w == node:
-                        break
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if comp[nxt] is None:  # visited without a component: on the stack
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                        if w == node:
+                            break
+                    ncomp += 1
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
     return comp
 
 
 def _solve_conjunct(literals):
     """A satisfying rational assignment for a conjunct, or None."""
-    nodes = set()
-    lt, le, eq, ne = [], [], [], []
+    nodes = sorted({node for _, a, b in literals for node in (a, b)})
+    at = {node: i for i, node in enumerate(nodes)}
+    succ = [set() for _ in nodes]
+    strict, apart = [], []
     for kind, a, b in literals:
-        nodes.update((a, b))
-        if kind == "lt":
-            if a[0] == "c" and b[0] == "c":
-                if not a[1] < b[1]:
-                    return None
-                continue
-            lt.append((a, b))
-        elif kind == "le":
-            if a[0] == "c" and b[0] == "c":
-                if not a[1] <= b[1]:
-                    return None
-                continue
-            le.append((a, b))
-        elif kind == "eq":
-            if a[0] == "c" and b[0] == "c":
-                if a[1] != b[1]:
-                    return None
-                continue
-            eq.append((a, b))
-        else:
-            if a[0] == "c" and b[0] == "c":
-                if a[1] == b[1]:
-                    return None
-                continue
-            ne.append((a, b))
-    consts = sorted(v for (k, v) in nodes if k == "c")
-    for c1, c2 in zip(consts, consts[1:]):
-        lt.append((("c", c1), ("c", c2)))
-    succ = {}
-    for a, b in lt + le:
-        succ.setdefault(a, set()).add(b)
-    for a, b in eq:
-        succ.setdefault(a, set()).add(b)
-        succ.setdefault(b, set()).add(a)
-    comp = _scc(nodes, succ)
-    for a, b in lt:
-        if comp[a] == comp[b]:
-            return None
-    for a, b in ne:
-        if comp[a] == comp[b]:
-            return None
-    comp_const = {}
-    for node in nodes:
-        if node[0] == "c":
-            cid = comp[node]
-            if cid in comp_const and comp_const[cid] != node[1]:
-                return None
-            comp_const[cid] = node[1]
-    # condensed DAG
-    comp_succ = {}
-    for a, b in lt + le + eq + [(b, a) for a, b in eq]:
-        ca, cb = comp[a], comp[b]
-        if ca != cb:
-            comp_succ.setdefault(ca, set()).add(cb)
-    comps = sorted({comp[n] for n in nodes})
-    # topological order (Kahn, deterministic)
-    indeg = {c: 0 for c in comps}
-    for c, ss in comp_succ.items():
-        for s in ss:
-            indeg[s] += 1
-    ready = sorted(c for c in comps if indeg[c] == 0)
-    topo = []
-    while ready:
-        c = ready.pop(0)
-        topo.append(c)
-        for s in sorted(comp_succ.get(c, ())):
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.append(s)
-        ready.sort()
-    if len(topo) != len(comps):
-        return None  # leftover cycle (only via lt, already rejected; safety)
-    # constant-based bounds
-    lo = {}
-    hi = {}
-    preds = {}
-    for p, ss in comp_succ.items():
-        for s in ss:
-            preds.setdefault(s, set()).add(p)
-    for c in topo:
-        cands = [comp_const[c]] if c in comp_const else []
-        cands += [lo[p] for p in preds.get(c, ()) if lo.get(p) is not None]
-        lo[c] = max(cands) if cands else None
-    for c in reversed(topo):
-        cands = [comp_const[c]] if c in comp_const else []
-        cands += [hi[s] for s in comp_succ.get(c, ()) if hi.get(s) is not None]
-        hi[c] = min(cands) if cands else None
-    value = {}
-    ne_comp = [(comp[a], comp[b]) for a, b in ne]
-    for c in topo:
-        if c in comp_const:
-            value[c] = comp_const[c]
+        i, j = at[a], at[b]
+        if kind == "ne":
+            apart.append((i, j))
             continue
-        floor_ = lo[c]
-        for p in preds.get(c, ()):
-            pv = value[p]
-            floor_ = pv if floor_ is None else max(floor_, pv)
-        ceil_ = hi[c]
-        if floor_ is None and ceil_ is None:
-            cand = Fraction(0)
-            ceil_anchor = None
-        elif floor_ is None:
-            cand = ceil_ - 1
-            ceil_anchor = ceil_
-        elif ceil_ is None:
-            cand = floor_ + 1
-            ceil_anchor = None
-        else:
-            cand = (floor_ + ceil_) * HALF
-            ceil_anchor = ceil_
-        forbidden = set()
-        for x, y in ne_comp:
-            partner = y if x == c else x if y == c else None
-            if partner is None:
-                continue
-            if partner in value:
-                forbidden.add(value[partner])
-            elif partner in comp_const:
-                # constants are fixed regardless of assignment order
-                forbidden.add(comp_const[partner])
-        while cand in forbidden:
-            cand = cand + 1 if ceil_anchor is None else (cand + ceil_anchor) * HALF
-        value[c] = cand
-    return {name: value[comp[("v", name)]] for (k, name) in nodes if k == "v"}
+        succ[i].add(j)
+        if kind == "lt":
+            strict.append((i, j))
+        elif kind == "eq":
+            succ[j].add(i)
+    # constants sort first, by value
+    nconsts = sum(1 for kind, _ in nodes if kind == "c")
+    for i in range(nconsts - 1):
+        succ[i].add(i + 1)
+        strict.append((i, i + 1))
+    comp = _scc([sorted(s) for s in succ])
+    if any(comp[i] == comp[j] for i, j in strict + apart):
+        return None
+    members = [[] for _ in range(max(comp, default=-1) + 1)]
+    for node, cid in zip(nodes, comp):
+        members[cid].append(node)
+    blocks = tuple(
+        (frozenset(x for kind, x in block if kind == "v"),
+         next((x for kind, x in block if kind == "c"), None))
+        for block in reversed(members))
+    return OrderDiagram(blocks).sample()
 
 
 def sat_sample(f, bound=_CONJUNCT_BOUND):

@@ -356,6 +356,12 @@ BAD_FILES = {
                      "witnesses": [[["0"], ["1/0"]]]},
     "no_formulas": {"depth": 0, "length": 0, "formulas": [], "witnesses": []},
     "not_object": [],
+    "witnesses_not_list": {"depth": 1, "length": 1, "formulas": ["x0 ; w : x0 < w"],
+                           "witnesses": 5},
+    "formula_not_string": {"depth": 1, "length": 1, "formulas": [5],
+                           "witnesses": [[["0"]]]},
+    "witness_not_string": {"depth": 1, "length": 1, "formulas": ["x0 ; w : x0 < w"],
+                           "witnesses": [[[[1]]]]},
     "abc": {"n": 1, "universe": ["a", "b", "c"], "orders": [["a", "b", "c"]]},
 }
 
@@ -377,6 +383,10 @@ def bad_files(tmp_path, chain4_file):
     ("ict", "dlo", "--check", "{zero_witness}"),
     ("ict", "dlo", "--check", "{no_formulas}"),
     ("ict", "dlo", "--check", "{not_object}"),
+    # pattern files off the shape of schemas/pattern.json
+    ("ict", "dlo", "--check", "{witnesses_not_list}"),
+    ("ict", "dlo", "--check", "{formula_not_string}"),
+    ("ird", "dlo", "--check", "{witness_not_string}"),
     # a --subset or a formula of another object sort than the first formula
     ("rank", "{chain4}", "--delta", "x ; y : x < y", "--subset", "x z ; : x < z"),
     ("rank", "dlo", "--delta", "x0 ; y : x0 < y", "--subset", "x0 x1 ; : x0 < x1"),
@@ -399,3 +409,28 @@ def test_mo_moptest_host_labels_name_elements(capsys, tmp_path, chain4_file):
     code, doc, _ = run_json(capsys, "mo", "moptest", str(path), "--host", chain4_file)
     assert code == 0 and doc["result"]["status"] == "exhaustive"
     assert doc["result"]["definable"] == 4 and doc["result"]["total"] == 4
+
+
+def test_mo_amalgamate_bounds_both_files(capsys, monkeypatch, tmp_path):
+    small, big = tmp_path / "small.json", tmp_path / "big.json"
+    dump_multiorder(generate_generic(2, 2, seed=1), str(small))
+    dump_multiorder(generate_generic(2, 5, seed=1), str(big))
+    monkeypatch.setenv("OPDIM_MAX_UNIVERSE", "3")
+    for files in ((small, big), (big, small)):
+        code, out, err = run(capsys, "mo", "amalgamate", *map(str, files))
+        assert code == 2 and out == "" and "OPDIM_MAX_UNIVERSE" in err
+
+
+LONG_OR = " | ".join(f"x < {i}" for i in range(1200))
+
+
+@pytest.mark.parametrize("argv", [
+    ("omin", "qe", LONG_OR),
+    # a short formula whose answer has about 4,000 disjuncts
+    ("omin", "qe", "~(x0 = x1) & x2 = x2 & x3 = x3 & x4 = x4 & x5 = x5"),
+    ("rank", "dlo", "--delta", f"x ; : {LONG_OR}"),
+], ids=("omin qe long", "omin qe wide answer", "rank dlo long"))
+def test_deep_nesting_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error (budget): ") and "recursion limit" in err

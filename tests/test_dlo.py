@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -89,6 +93,43 @@ def test_sat_sample_between_adjacent_constants():
 def test_satisfiable_q_constant_comparisons():
     assert satisfiable_q(parse_formula("0 < 1"))
     assert not satisfiable_q(parse_formula("1 < 0"))
+
+
+def test_sat_sample_agrees_with_diagram_enumeration():
+    # order_diagrams decides satisfiability by enumerating every arrangement,
+    # independently of the solver's order graph
+    rng = random.Random(53)
+    for case in range(2000):
+        variables = [f"v{i}" for i in range(rng.randint(1, 4))]
+        consts = sorted({Q(rng.randint(-2, 2), rng.choice((1, 2)))
+                         for _ in range(rng.randint(0, 3))})
+        f = random_qf_formula(rng, variables, consts)
+        env = sat_sample(f)
+        assert (env is None) == (not order_diagrams(f, sorted(free_vars(f)))), (case, f)
+        if env is not None:
+            # a variable the satisfying conjunct leaves out may take any value
+            env = {v: env.get(v, Q(0)) for v in variables}
+            assert evaluate_q(f, env), (case, f, env)
+
+
+HASH_SEED_PROBE = """
+from opdim import DloContext, parse_formula, sat_sample
+print(sorted(sat_sample(parse_formula(
+    "x < 1 & y < 1 & z < 1 & ~(x = y) & ~(y = z) & ~(x = z) & a < b & c < d")).items()))
+ctx = DloContext(2)
+print(ctx.pick(ctx.to_set(parse_formula("0 < x0 & 0 < x1 & ~(x0 = x1)"))))
+"""
+
+
+def test_sat_sample_does_not_depend_on_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for seed in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
+        outputs.add(done.stdout)
+    assert len(outputs) == 1, outputs
 
 
 # ---------------------------------------------------------------------------
