@@ -5,6 +5,7 @@ by a signed formula instance, test emptiness, enumerate instance parameters,
 and find witnesses for constraint lists.  ``FiniteContext`` wraps a finite
 structure (sets are bitmasks over an indexed tuple space); the symbolic
 dense-order context lives in ``opdim.dlo`` and exposes the same surface.
+Both inherit ``sat`` from ``Context``.
 """
 from __future__ import annotations
 
@@ -27,7 +28,19 @@ class Constraint:
     sign: int
 
 
-class FiniteContext:
+class Context:
+    """The query both backends build from their own restrict, is_empty and pick."""
+
+    def sat(self, s, constraints):
+        """The picked member of s satisfying every signed constraint, or None."""
+        for c in constraints:
+            if self.is_empty(s):
+                return None
+            s = self.restrict(s, c.phi, c.params, c.sign)
+        return None if self.is_empty(s) else self.pick(s)
+
+
+class FiniteContext(Context):
     """Finite-structure context; definable sets are bitmasks over universe^arity."""
 
     def __init__(self, structure: FiniteStructure):
@@ -93,15 +106,6 @@ class FiniteContext:
         tuples, _ = self.space(s.arity)
         lowest = (s.mask & -s.mask).bit_length() - 1
         return tuples[lowest]
-
-    def sat(self, s, constraints):
-        """First member of s satisfying every signed constraint, or None."""
-        cur = s
-        for c in constraints:
-            cur = self.restrict(cur, c.phi, c.params, c.sign)
-            if cur.mask == 0:
-                return None
-        return self.pick(cur)
 
     def witness_params(self, phi: PartitionedFormula, extra=()):
         """Parameter tuples for witness searches; finite contexts use everything."""

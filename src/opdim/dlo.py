@@ -1,17 +1,19 @@
-"""The symbolic (Q, <) engine: exact-rational satisfiability, quantifier
-elimination by diagram projection, order-diagram cell dimension, and the
-context object that lets the rank and pattern machinery run over the dense
-order unchanged.
+"""The symbolic (Q, <) engine: exact-rational satisfiability (``sat_sample``,
+behind ``dimension`` and the tests' reference), quantifier elimination by
+diagram projection, order-diagram cell dimension, and the context object that
+holds each set as its order diagrams, so the rank and pattern machinery runs
+over the dense order unchanged.
 
 All arithmetic is exact (fractions.Fraction); no floating point anywhere.
 """
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contexts import BudgetExceededError
+from .contexts import BudgetExceededError, Context
 from .logic import (
     And, Atom, Bot, Eq, Exists, Forall, Imp, Not, Or, Rat, Top, Var,
     FALSE, TRUE, PartitionedFormula, conj_all, disj_all, free_vars, rename_vars,
@@ -320,6 +322,21 @@ def enumerate_diagrams(variables, consts):
     return [OrderDiagram(a) for a in arrangements]
 
 
+def _refine(diagram, p):
+    """The diagrams refining `diagram` by a new constant p: p goes between its
+    neighbouring constant blocks, as a new block or into a variable-only one."""
+    blocks = diagram.blocks
+    at = [i for i, (_, c) in enumerate(blocks) if c is not None]
+    j = bisect_left([blocks[i][1] for i in at], p)
+    lo, hi = at[j - 1] if j else -1, at[j] if j < len(at) else len(blocks)
+    out = []
+    for i in range(lo + 1, hi + 1):
+        out.append(OrderDiagram(blocks[:i] + ((frozenset(), p),) + blocks[i:]))
+        if i < hi:
+            out.append(OrderDiagram(blocks[:i] + ((blocks[i][0], p),) + blocks[i + 1:]))
+    return out
+
+
 def order_diagrams(f, variables=None, extra_consts=()):
     """The complete consistent diagrams implying a quantifier-free formula;
     their union is exactly the formula."""
@@ -414,10 +431,7 @@ def _coord_vars(m):
 
 
 def _diagram_dimension(qf, variables):
-    diags = order_diagrams(qf, variables)
-    if not diags:
-        return None
-    return max(d.free_block_count() for d in diags)
+    return max((d.free_block_count() for d in order_diagrams(qf, variables)), default=None)
 
 
 def _box_from_diagram(diag, coords_vars):
@@ -462,6 +476,8 @@ def dimension(f, m, method="both") -> DimensionReport:
     an open box (the box is exhibited).  The empty set gets a distinguished
     report.
     """
+    if m < 0:
+        raise DloError("the variable count m must be nonnegative")
     variables = _coord_vars(m)
     extra = free_vars(f) - set(variables)
     if extra:
@@ -506,33 +522,27 @@ def standard_grid(consts, pad=1):
     return sorted(set(grid))
 
 
+@dataclass(frozen=True)
 class DloSet:
-    """A definable subset of (Q,<)^m, held as a quantifier-free formula."""
+    """A subset of (Q,<)^m: the union of `diagrams`, order diagrams over `consts`."""
 
-    __slots__ = ("formula", "_empty", "_key")
-
-    def __init__(self, formula):
-        self.formula = formula
-        self._empty = None
-        self._key = None
-
-    def __repr__(self):
-        from .logic import print_formula
-        return f"DloSet({print_formula(self.formula)})"
+    consts: frozenset
+    diagrams: tuple
 
 
-class DloContext:
+class DloContext(Context):
     """Exposes the finite-context interface over the symbolic dense order."""
 
     def __init__(self, num_vars=1, max_candidates=4096):
         self.obj_vars = _coord_vars(num_vars)
         self.arity = num_vars
         self.max_candidates = max_candidates
+        self._bodies = {}  # (phi, params) -> the instance body and its constants
 
     def top(self, arity=None):
         if arity not in (None, self.arity):
             raise DloError("symbolic context has a fixed arity")
-        return DloSet(TRUE)
+        return DloSet(frozenset(), tuple(enumerate_diagrams(self.obj_vars, ())))
 
     def to_set(self, x):
         if isinstance(x, DloSet):
@@ -541,70 +551,59 @@ class DloContext:
         if extra:
             raise DloError(f"free variables {sorted(extra)} outside the context sort")
         g = _qe(x)
-        return DloSet(g)
+        return DloSet(frozenset(constants_of(g)), tuple(order_diagrams(g, self.obj_vars)))
 
     def _instance_body(self, phi: PartitionedFormula, params):
-        body = phi.instantiate(tuple(Fraction(p) for p in params))
-        if phi.obj_vars != self.obj_vars:
-            if len(phi.obj_vars) != self.arity:
-                raise DloError("formula object sort does not match the context")
-            body = rename_vars(body, dict(zip(phi.obj_vars, self.obj_vars)))
-        return body
+        key = (phi, tuple(params))
+        if key not in self._bodies:
+            body = phi.instantiate(tuple(Fraction(p) for p in params))
+            if phi.obj_vars != self.obj_vars:
+                if len(phi.obj_vars) != self.arity:
+                    raise DloError("formula object sort does not match the context")
+                body = rename_vars(body, dict(zip(phi.obj_vars, self.obj_vars)))
+            self._bodies[key] = body, constants_of(body)
+        return self._bodies[key]
 
     def restrict(self, s, phi, params, sign):
-        return DloSet(And(s.formula, signed(self._instance_body(phi, params), sign)))
+        body, mentioned = self._instance_body(phi, params)
+        body, new = signed(body, sign), mentioned - s.consts
+        diagrams = s.diagrams
+        for p in sorted(new):
+            diagrams = [r for d in diagrams for r in _refine(d, p)]
+        # each constant of body is a block of every diagram: one sample decides a cell
+        return DloSet(s.consts | new,
+                      tuple(d for d in diagrams if evaluate_q(body, d.sample())))
 
     def is_empty(self, s):
-        if s._empty is None:
-            s._empty = sat_sample(s.formula) is None
-        return s._empty
+        return not s.diagrams
 
     def size(self, s):
         return None
 
     def cache_key(self, s):
-        if s._key is None:
-            consts = frozenset(constants_of(s.formula))
-            diags = frozenset(order_diagrams(s.formula, self.obj_vars))
-            s._key = (consts, diags)
-        return s._key
+        return frozenset(s.diagrams)
 
     def pick(self, s):
-        env = sat_sample(s.formula)
-        if env is None:
+        if not s.diagrams:
             raise DloError("cannot pick from an empty set")
-        return tuple(env.get(v, Fraction(0)) for v in self.obj_vars)
+        env = s.diagrams[0].sample()
+        return tuple(env[v] for v in self.obj_vars)
 
-    def _grid_params(self, phi: PartitionedFormula, consts):
-        """Every parameter tuple for phi over the standard grid of consts."""
-        grid = standard_grid(consts)
+    def instance_candidates(self, phi: PartitionedFormula, s=None):
+        return self.witness_params(phi, s.consts if s is not None else ())
+
+    def witness_params(self, phi: PartitionedFormula, extra=()):
+        """Every parameter tuple for phi over the grid of its constants and `extra`."""
+        grid = standard_grid(constants_of(phi.body) | set(extra))
         k = len(phi.param_vars)
         if len(grid) ** k > self.max_candidates:
             raise BudgetExceededError("symbolic parameter grid too large")
         return [tuple(p) for p in itertools.product(grid, repeat=k)]
 
-    def instance_candidates(self, phi: PartitionedFormula, s=None):
-        consts = constants_of(phi.body)
-        if s is not None:
-            consts |= constants_of(s.formula)
-        return self._grid_params(phi, consts)
-
-    def witness_params(self, phi: PartitionedFormula, extra=()):
-        return self._grid_params(phi, constants_of(phi.body) | set(extra))
-
     def holds(self, phi: PartitionedFormula, obj, params):
-        body = self._instance_body(phi, params)
+        body, _ = self._instance_body(phi, params)
         env = dict(zip(self.obj_vars, (Fraction(v) for v in obj)))
         return evaluate_q(body, env)
-
-    def sat(self, s, constraints):
-        f = s.formula
-        for c in constraints:
-            f = And(f, signed(self._instance_body(c.phi, c.params), c.sign))
-        env = sat_sample(f)
-        if env is None:
-            return None
-        return tuple(env.get(v, Fraction(0)) for v in self.obj_vars)
 
 
 # ---------------------------------------------------------------------------

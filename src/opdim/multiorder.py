@@ -285,6 +285,8 @@ def generate_generic(n, size, seed, size_cap=4096) -> MultiOrder:
 def extension_property_level(B: MultiOrder, k) -> bool:
     """True iff every one-point position spec over every <=k-subset is
     realized by an existing element."""
+    if k < 0:
+        raise MultiOrderError("k must be nonnegative")
     if k > B.size:
         raise MultiOrderError("k exceeds the universe size")
     positions = [B.positions(i) for i in range(B.n)]

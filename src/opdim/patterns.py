@@ -35,6 +35,9 @@ class IRDPattern:
         lengths = {len(row) for row in self.witnesses}
         if len(lengths) > 1:
             raise PatternError("witness rows must share a length")
+        if lengths == {0}:
+            # with no witnesses every selector is vacuously consistent
+            raise PatternError("a pattern with formulas needs witnesses")
         for psi, row in zip(self.formulas, self.witnesses):
             for w in row:
                 if len(w) != len(psi.param_vars):
@@ -175,13 +178,15 @@ class _Budget:
 def _witness_space(context, psi, witness_grid):
     if witness_grid is None:
         return context.witness_params(psi)
+    k = len(psi.param_vars)
     out = []
     for w in witness_grid:
         if not isinstance(w, tuple):
             w = (w,)
-        if len(w) != len(psi.param_vars):
-            continue
-        out.append(w)
+        if len(w) == k:
+            out.append(w)
+    if not out:
+        raise PatternError(f"the witness grid has no entry of {k} parameters")
     return out
 
 

@@ -355,6 +355,8 @@ BAD_FILES = {
     "zero_witness": {"depth": 1, "length": 2, "formulas": ["x0 ; w : x0 < w"],
                      "witnesses": [[["0"], ["1/0"]]]},
     "no_formulas": {"depth": 0, "length": 0, "formulas": [], "witnesses": []},
+    "no_witnesses": {"depth": 2, "length": 0, "formulas": ["x0 ; y : x0 = x0", "x0 ; y : y = y"],
+                     "witnesses": [[], []]},
     "not_object": [],
     "witnesses_not_list": {"depth": 1, "length": 1, "formulas": ["x0 ; w : x0 < w"],
                            "witnesses": 5},
@@ -394,6 +396,16 @@ def bad_files(tmp_path, chain4_file):
     ("rank", "{chain4}", "--delta", "x ; y : x < y", "--subset", "x ; y : x < y"),
     # multi-order labels that name no element of the host structure
     ("mo", "moptest", "{abc}", "--host", "{chain4}"),
+    # formulas without witnesses make every selector vacuously consistent
+    ("dprank", "dlo", "--pool", "x0 ; y : x0 = x0", "--pool", "x0 ; y : y = y",
+     "--length", "0", "--cap", "4"),
+    ("ict", "dlo", "--check", "{no_witnesses}"),
+    # a grid of single values offers nothing to a 2-parameter formula
+    ("ird", "dlo", "--pool", "x0 ; a b : a < x0 & x0 < b", "--grid", "0,1",
+     "--depth", "1", "--length", "2"),
+    # negative counts
+    ("mo", "extcheck", "{abc}", "-k", "-1"),
+    ("omin", "dim", "true", "-m", "-1"),
 ], ids=lambda argv: " ".join(argv))
 def test_input_error_exits_2(capsys, bad_files, argv):
     code, out, err = run(capsys, *(a.format(**bad_files) for a in argv))

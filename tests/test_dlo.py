@@ -15,8 +15,8 @@ from opdim import (
     parse_formula, parse_partitioned, product, qe_dlo, sat_sample,
     satisfiable_q, standard_grid,
 )
-from opdim.dlo import DloSet, constants_of, enumerate_diagrams
-from opdim.logic import free_vars
+from opdim.dlo import constants_of, enumerate_diagrams
+from opdim.logic import PartitionedFormula, conj_all, free_vars, signed
 from opdim.patterns import check_ird
 from opdim.contexts import Constraint
 
@@ -391,6 +391,32 @@ def test_context_sat_returns_witness():
     got = ctx.sat(ctx.top(), [Constraint(lt, (Q(0),), 1),
                               Constraint(lt, (Q(-1),), 0)])
     assert got is not None and Q(-1) <= got[0] < Q(0)
+
+
+def test_context_diagrams_agree_with_the_dnf_solver():
+    # the context's diagram algebra against sat_sample on the conjunction of
+    # the same signed instances, which solves by DNF and order graphs
+    rng = random.Random(67)
+    for case in range(300):
+        ctx = DloContext(rng.randint(1, 2))
+        consts = sorted({Q(rng.randint(-2, 2)) for _ in range(rng.randint(0, 2))})
+        chain = []
+        for _ in range(rng.randint(1, 4)):
+            body = random_qf_formula(rng, list(ctx.obj_vars) + ["w"], consts)
+            phi = PartitionedFormula(body, ctx.obj_vars, ("w",))
+            param = Q(rng.randint(-3, 3), rng.choice((1, 2)))
+            chain.append((phi, param, rng.randint(0, 1)))
+        bodies = [signed(phi.instantiate((p,)), sign) for phi, p, sign in chain]
+        s = r = ctx.top()
+        for phi, p, sign in chain:
+            s = ctx.restrict(s, phi, (p,), sign)
+        for phi, p, sign in reversed(chain):
+            r = ctx.restrict(r, phi, (p,), sign)
+        assert ctx.is_empty(s) == (sat_sample(conj_all(bodies)) is None), (case, bodies)
+        assert ctx.cache_key(s) == ctx.cache_key(r), case
+        if not ctx.is_empty(s):
+            env = dict(zip(ctx.obj_vars, ctx.pick(s)))
+            assert all(evaluate_q(b, env) for b in bodies), (case, bodies, env)
 
 
 def test_context_holds():

@@ -91,6 +91,15 @@ def test_pattern_rejects_mismatched_witness_sorts():
         IRDPattern(ctx, top, (INTERVAL,), (row(0, 1, 2),))
 
 
+def test_pattern_with_formulas_needs_witnesses():
+    # a length-0 pattern has no constraints, so every selector would pass
+    ctx, top = dlo2()
+    with pytest.raises(PatternError):
+        ICTPattern(ctx, top, (X0_LT_W, X1_LT_W), ((), ()))
+    with pytest.raises(PatternError):
+        search_ict(ctx, top, [X0_LT_W, X1_LT_W], depth=2, length=0)
+
+
 # ---------------------------------------------------------------------------
 # IRD -> ICT transform
 
@@ -176,6 +185,13 @@ def test_search_depth_one_success_implies_splitting():
     assert result.found
     rank = shelah_rank2(RankQuery(ctx, ctx.top(1), (lt,), cap=4))
     assert rank.as_ordinal_proxy() >= (0, 1)
+
+
+def test_search_rejects_a_grid_that_fits_no_formula():
+    # a 1-tuple grid offers no witness to a 2-parameter formula
+    ctx, top = dlo1()
+    with pytest.raises(PatternError):
+        search_ird(ctx, top, [INTERVAL], depth=1, length=2, witness_grid=GRID1)
 
 
 def test_search_ict_interval_found():
