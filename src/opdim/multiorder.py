@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .contexts import BudgetExceededError, FiniteContext
 from .logic import FiniteStructure, PartitionedFormula, Signature
@@ -42,9 +44,16 @@ class MultiOrder:
     def size(self):
         return len(self.universe)
 
+    @cached_property
+    def _ranks(self):
+        # built on first use, not in __post_init__: generate_generic makes
+        # |B| intermediate multi-orders that are never compared
+        return tuple({b: r for r, b in enumerate(o)} for o in self.orders)
+
     def positions(self, i):
-        """Element -> 0-based rank in order i."""
-        return {b: r for r, b in enumerate(self.orders[i])}
+        """Element -> 0-based rank in order i.  The mapping is shared by
+        every call; read it, do not change it."""
+        return self._ranks[i]
 
     def less(self, i, a, b):
         pos = self.positions(i)
@@ -352,7 +361,11 @@ class MopReport:
 def check_mop_witness(w: PictureWitness, budget=None) -> MopReport:
     """For every multi-cut of the source, search parameters b_0..b_{n-1}
     with X_i = {a : phi(g(a), b_i)}.  The per-order searches are independent,
-    so the achievable traces are computed once and each cut is looked up.
+    so definability is decided one order at a time: the achievable traces
+    are computed once, each cut position of each order is looked up once,
+    and a multi-cut is definable iff each of its n sides is.  The cost is
+    about candidates·|B| `holds` calls, n·(|B|+1) trace lookups, and the
+    size of `missing`, which lists up to (|B|+1)^n multi-cuts.
     """
     B = w.source
     phi = w.phi
@@ -370,14 +383,15 @@ def check_mop_witness(w: PictureWitness, budget=None) -> MopReport:
         trace = frozenset(a for a in B.universe if ctx.holds(phi, gmap[a], b))
         used += B.size
         traces.add(trace)
-    definable = 0
-    missing = []
-    for z in enumerate_multicuts(B):
-        if all(x in traces for x in multicut_sets(B, z)):
-            definable += 1
-        else:
-            missing.append(z)
-    return MopReport((B.size + 1) ** B.n, definable, tuple(missing), status)
+    # gaps[i][c]: the first c elements of order i are not a trace
+    gaps = [[frozenset(order[:c]) not in traces for c in range(B.size + 1)]
+            for order in B.orders]
+    definable = math.prod(gap.count(False) for gap in gaps)
+    missing = itertools.compress(
+        itertools.product(range(B.size + 1), repeat=B.n),
+        map(any, itertools.product(*gaps)))
+    return MopReport((B.size + 1) ** B.n, definable,
+                     tuple(map(MultiCut, missing)), status)
 
 
 def pairwise_comparable(points):

@@ -205,6 +205,15 @@ def _search(context, base, pool, depth, length, witness_grid, budget_limit,
                 return False
         return pat
 
+    if depth == 0:
+        # the empty pattern: its one selector is consistent iff the base is nonempty
+        verdict = joint_ok([])
+        if verdict is None:
+            return SearchResult("none_budget", None, budget.used)
+        if verdict:
+            return SearchResult("found", verdict, budget.used)
+        return SearchResult("none_exhaustive", None, budget.used)
+
     rows = []
     for psi in pool:
         space = _witness_space(context, psi, witness_grid)
@@ -214,9 +223,6 @@ def _search(context, base, pool, depth, length, witness_grid, budget_limit,
                 return SearchResult("none_budget", None, budget.used)
             if verdict:
                 rows.append((psi, seq))
-
-    if depth == 0:
-        return SearchResult("found", pattern_cls(context, base, (), ()), budget.used)
 
     if depth == 1:
         if rows:

@@ -283,12 +283,17 @@ IRD_CHAIN_DOC = {"depth": 1, "length": 3, "formulas": ["x ; y : x < y"],
 
 
 @pytest.fixture
-def files(tmp_path, chain4_file):
+def files(tmp_path, monkeypatch, chain4_file):
     paths = {"chain4": chain4_file}
     for name, doc in (("b", MO_B), ("c", MO_C), ("ict", ICT_DOC), ("ird", IRD_CHAIN_DOC)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths[name] = str(path)
+    # a path relative to the working directory keeps the config, and so the
+    # report hash, the same in every run
+    monkeypatch.chdir(tmp_path)
+    dump_multiorder(generate_generic(3, 12, seed=11), "mo12.json")
+    paths["mo12"] = "mo12.json"
     return paths
 
 
@@ -328,10 +333,22 @@ PINNED = [
     (("mo", "moptest", "{b}"),
      {"result": {"definable": 8, "total": 16, "status": "exhaustive",
                  "missing": [[0, 1], [0, 2], [1, 1], [1, 2], [2, 1], [2, 2], [3, 1], [3, 2]]}}),
+    # a generated 12-element 3-order: 2,197 multi-cuts, 78 of them definable
+    (("mo", "moptest", "{mo12}"),
+     {"hash": "9d3ac1eedc49ed55381c5748866102b2f8b58dc7d1ab88d947040e49bd58aeee"}),
+    # the budget stops the trace loop after 8 of its candidates
+    (("mo", "moptest", "{mo12}", "--budget", "100"),
+     {"hash": "dbfca01b675b337ebb31aacd0921c17b638ac2199dd1799514df914710bf4120"}),
 ]
 
 
-@pytest.mark.parametrize("argv, want", PINNED, ids=[" ".join(a[:2]) for a, _ in PINNED])
+def _pin_id(argv):
+    # the subcommand; the whole argv for pins on the 12-element 3-order,
+    # which share their subcommand with an earlier pin
+    return " ".join(argv if "{mo12}" in argv else argv[:2])
+
+
+@pytest.mark.parametrize("argv, want", PINNED, ids=[_pin_id(a) for a, _ in PINNED])
 def test_report_pinned(capsys, files, argv, want):
     code, doc, _ = run_json(capsys, *(a.format(**files) for a in argv))
     assert code == 0

@@ -6,7 +6,7 @@ import pytest
 
 from opdim import (
     BudgetExceededError, DloContext, Embedding, ExtensionSpec, MultiCut,
-    MultiOrder, MultiOrderError, PictureWitness, amalgamate,
+    MopReport, MultiOrder, MultiOrderError, PictureWitness, amalgamate,
     check_embedding, check_mop_witness, enumerate_multicuts,
     extension_property_level, generate_generic, grid_embed, linearize_grid,
     multiorder_from_dict, multiorder_to_dict, one_point_extend,
@@ -14,7 +14,7 @@ from opdim import (
 )
 from opdim.multiorder import GRID, as_structure, multicut_sets
 
-from conftest import CHAIN_SIG
+from conftest import CHAIN_SIG, chain
 
 
 def opposed(labels=("a", "b", "c", "d")):
@@ -343,6 +343,48 @@ def test_mop_budget_reported():
     phi = parse_partitioned("x0 ; w : x0 < w")
     report = check_mop_witness(PictureWitness(chain3, ctx, g, phi), budget=3)
     assert report.status == "budget"
+
+
+def reference_mop(w, budget=None):
+    """The multi-order-property check read straight off its definition: a
+    multi-cut is definable iff each of its sets is the trace of some
+    parameter tuple."""
+    B, ctx, gmap = w.source, w.context(), dict(w.point_map)
+    extra = sorted({v for img in gmap.values() for v in img})
+    traces, used, status = set(), 0, "exhaustive"
+    for b in ctx.witness_params(w.phi, extra=extra):
+        if budget is not None and used + B.size > budget:
+            status = "budget"
+            break
+        traces.add(frozenset(a for a in B.universe if ctx.holds(w.phi, gmap[a], b)))
+        used += B.size
+    missing = tuple(z for z in enumerate_multicuts(B)
+                    if not all(x in traces for x in multicut_sets(B, z)))
+    total = (B.size + 1) ** B.n
+    return MopReport(total, total - len(missing), missing, status)
+
+
+MOP_PHIS = ("x0 ; y : x0 < y", "x0 ; y : y < x0", "x0 ; y : x0 = y")
+
+
+def test_mop_matches_reference_on_random_multiorders():
+    rng = random.Random(1307)
+    for k in range(300):
+        mo = random_multiorder(rng, 1 + k % 3, rng.randrange(7))
+        text = MOP_PHIS[k % 3]
+        if k % 2:
+            host = chain(mo.size + 3)
+            images = rng.sample(host.universe, mo.size)
+            phi = parse_partitioned(text, CHAIN_SIG)
+        else:
+            host = DloContext(1)
+            images = rng.sample([Fraction(v, 2) for v in range(-6, 7)], mo.size)
+            phi = parse_partitioned(text)
+        w = PictureWitness(mo, host, tuple((a, (v,)) for a, v in zip(mo.universe, images)), phi)
+        # a budget that stops the trace loop after some candidates but not all
+        mid = mo.size * rng.randrange(1, 4) + rng.randrange(mo.size + 1)
+        for budget in (None, 0, mid):
+            assert check_mop_witness(w, budget) == reference_mop(w, budget), (k, budget)
 
 
 def test_picture_witness_requires_injectivity():

@@ -177,6 +177,28 @@ def test_search_depth_monotone():
         assert result.found
 
 
+@pytest.mark.parametrize("search", [search_ird, search_ict])
+def test_search_depth_zero_on_empty_base_finds_nothing(search):
+    m = chain(4)
+    ctx = FiniteContext(m)
+    lt = parse_partitioned("x ; y : x < y")
+    empty = ctx.restrict(ctx.top(1), parse_partitioned("x ; : x < x"), (), 1)
+    result = search(ctx, empty, [lt], depth=0, length=2)
+    assert result.status == "none_exhaustive" and result.checks_used == 1
+    assert check_ict(ICTPattern(ctx, empty, (), ())) == (False, ())
+
+
+@pytest.mark.parametrize("search", [search_ird, search_ict])
+def test_search_depth_zero_on_nonempty_base_finds_the_empty_pattern(search):
+    m = chain(4)
+    ctx = FiniteContext(m)
+    lt = parse_partitioned("x ; y : x < y")
+    result = search(ctx, ctx.top(1), [lt], depth=0, length=2)
+    assert result.status == "found" and result.checks_used == 1
+    assert result.pattern.depth == 0
+    assert search(ctx, ctx.top(1), [lt], depth=0, length=2, budget=0).status == "none_budget"
+
+
 def test_search_depth_one_success_implies_splitting():
     m = chain(5)
     ctx = FiniteContext(m)
