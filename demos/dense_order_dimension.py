@@ -34,7 +34,7 @@ def main():
 
     print("a union of a diagonal and a half-plane decomposes into cells:")
     f = parse_formula("x0 = x1 | x0 < 0", DLO_SIGNATURE)
-    for diagram in order_diagrams(qe_dlo(f)):
+    for diagram in order_diagrams(f):
         print(f"  cell: {print_formula(diagram.to_formula())}")
     print()
 

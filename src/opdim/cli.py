@@ -240,7 +240,7 @@ def cmd_omin(args):
     if sub == "qe":
         return {"formula": print_formula(dlo.qe_dlo(f))}
     if sub == "cells":
-        diagrams = dlo.order_diagrams(dlo.qe_dlo(f))
+        diagrams = dlo.order_diagrams(f)
         return {"count": len(diagrams),
                 "cells": [print_formula(d.to_formula()) for d in diagrams]}
     if sub == "dim":

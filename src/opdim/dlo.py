@@ -1,8 +1,10 @@
-"""The symbolic (Q, <) engine: exact-rational satisfiability (``sat_sample``,
-behind ``dimension`` and the tests' reference), quantifier elimination by
-diagram projection, order-diagram cell dimension, and the context object that
+"""The symbolic (Q, <) engine.  Order diagrams decide every first-order
+formula, a quantifier by the one-variable extensions of a diagram; on them
+rest quantifier elimination, cell dimension, and the context object that
 holds each set as its order diagrams, so the rank and pattern machinery runs
-over the dense order unchanged.
+over the dense order unchanged.  ``sat_sample`` is an independent
+exact-rational satisfiability solver (DNF and order graphs), the tests'
+reference for the diagrams.
 
 All arithmetic is exact (fractions.Fraction); no floating point anywhere.
 """
@@ -260,6 +262,21 @@ class OrderDiagram:
     def free_block_count(self):
         return sum(1 for vs, c in self.blocks if vs and c is None)
 
+    def project(self, names):
+        """The diagram of the variables in `names` alone: the others dropped,
+        and every block they leave empty."""
+        return OrderDiagram(tuple((vs & names, c) for vs, c in self.blocks
+                                  if c is not None or vs & names))
+
+    def extensions(self, v):
+        """The diagrams adding the variable v: it joins one of the blocks or
+        takes one of the gaps."""
+        blocks = self.blocks
+        for i, (vs, c) in enumerate(blocks):
+            yield OrderDiagram(blocks[:i] + ((vs | {v}, c),) + blocks[i + 1:])
+        for gap in range(len(blocks) + 1):
+            yield OrderDiagram(blocks[:gap] + ((frozenset({v}), None),) + blocks[gap:])
+
     def sample(self):
         anchors = [(i, c) for i, (_, c) in enumerate(self.blocks) if c is not None]
         values = {}
@@ -309,17 +326,10 @@ class OrderDiagram:
 
 def enumerate_diagrams(variables, consts):
     """All complete arrangements of the variables relative to the constants."""
-    base = tuple((frozenset(), c) for c in sorted(set(consts)))
-    arrangements = [base]
+    diagrams = [OrderDiagram(tuple((frozenset(), c) for c in sorted(set(consts))))]
     for v in sorted(variables):
-        nxt = []
-        for arr in arrangements:
-            for i, (vs, c) in enumerate(arr):
-                nxt.append(arr[:i] + ((vs | {v}, c),) + arr[i + 1:])
-            for gap in range(len(arr) + 1):
-                nxt.append(arr[:gap] + ((frozenset({v}), None),) + arr[gap:])
-        arrangements = nxt
-    return [OrderDiagram(a) for a in arrangements]
+        diagrams = [e for d in diagrams for e in d.extensions(v)]
+    return diagrams
 
 
 def _refine(diagram, p):
@@ -337,69 +347,57 @@ def _refine(diagram, p):
     return out
 
 
+def _holds(f, d, env, memo):
+    """Whether the diagram d, sampled at env, satisfies f.  Every constant of
+    f is a block of d, so d decides each atom.  A quantified subformula
+    depends only on `base`, d cut down to the subformula's free variables
+    (so its bound variable is dropped even where it shadows a free one); by
+    the homogeneity of (Q,<), base satisfies `exists v. g` iff one of the
+    diagrams adding v to it satisfies g, and `forall v. g` iff all of them
+    do.  `memo` keeps each quantified subformula's free variables and its
+    answer on each base."""
+    if isinstance(f, (Exists, Forall)):
+        if id(f) not in memo:
+            memo[id(f)] = free_vars(f), {}
+        scope, answers = memo[id(f)]
+        base = d.project(scope)
+        if base not in answers:
+            found = (_holds(f.sub, e, e.sample(), memo) for e in base.extensions(f.var))
+            answers[base] = any(found) if isinstance(f, Exists) else all(found)
+        return answers[base]
+    if isinstance(f, Not):
+        return not _holds(f.sub, d, env, memo)
+    if isinstance(f, And):
+        return _holds(f.left, d, env, memo) and _holds(f.right, d, env, memo)
+    if isinstance(f, Or):
+        return _holds(f.left, d, env, memo) or _holds(f.right, d, env, memo)
+    if isinstance(f, Imp):
+        return not _holds(f.left, d, env, memo) or _holds(f.right, d, env, memo)
+    return evaluate_q(f, env)
+
+
 def order_diagrams(f, variables=None, extra_consts=()):
-    """The complete consistent diagrams implying a quantifier-free formula;
-    their union is exactly the formula."""
+    """The complete consistent diagrams over `variables` and the constants
+    of f that satisfy the formula f, quantifiers allowed; their union is
+    exactly the set f defines."""
     if variables is None:
         variables = sorted(free_vars(f))
     consts = constants_of(f) | set(extra_consts)
-    return [d for d in enumerate_diagrams(variables, consts) if evaluate_q(f, d.sample())]
+    memo = {}
+    return [d for d in enumerate_diagrams(variables, consts)
+            if _holds(f, d, d.sample(), memo)]
 
 
-# ---------------------------------------------------------------------------
-# Quantifier elimination
-
-
-def _project(g, var):
-    """Existentially project `var` out of a quantifier-free formula."""
-    variables = sorted(free_vars(g) | {var})
-    remaining = [v for v in variables if v != var]
-    consts = constants_of(g)
-    keep = []
-    seen = set()
-    for d in order_diagrams(g, variables):
-        blocks = []
-        for vs, c in d.blocks:
-            vs = vs - {var}
-            if vs or c is not None:
-                blocks.append((vs, c))
-        proj = OrderDiagram(tuple(blocks))
-        if proj not in seen:
-            seen.add(proj)
-            keep.append(proj)
-    return _diagram_disjunction(keep, remaining, consts)
-
-
-def _diagram_disjunction(diagrams, variables, consts):
-    """FALSE for no diagrams, TRUE for all of them, else their disjunction."""
+def qe_dlo(f):
+    """Equivalent quantifier-free formula, normalized to a canonical
+    disjunction of order diagrams over its free variables and constants."""
+    variables = sorted(free_vars(f))
+    diagrams = order_diagrams(f, variables)
     if not diagrams:
         return FALSE
-    if len(diagrams) == len(enumerate_diagrams(variables, consts)):
+    if len(diagrams) == len(enumerate_diagrams(variables, constants_of(f))):
         return TRUE
     return disj_all(d.to_formula() for d in diagrams)
-
-
-def _qe(f):
-    if isinstance(f, (Atom, Eq, Top, Bot)):
-        return f
-    if isinstance(f, Not):
-        return Not(_qe(f.sub))
-    if isinstance(f, (And, Or, Imp)):
-        return type(f)(_qe(f.left), _qe(f.right))
-    if isinstance(f, Exists):
-        return _project(_qe(f.sub), f.var)
-    if isinstance(f, Forall):
-        return Not(_project(Not(_qe(f.sub)), f.var))
-    raise DloError(f"not a formula: {f!r}")
-
-
-def qe_dlo(f, variables=None):
-    """Equivalent quantifier-free formula, normalized to a canonical
-    disjunction of order diagrams over its free variables."""
-    g = _qe(f)
-    if variables is None:
-        variables = sorted(free_vars(g))
-    return _diagram_disjunction(order_diagrams(g, variables), variables, constants_of(g))
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +428,6 @@ def _coord_vars(m):
     return tuple(f"x{i}" for i in range(m))
 
 
-def _diagram_dimension(qf, variables):
-    return max((d.free_block_count() for d in order_diagrams(qf, variables)), default=None)
-
-
 def _box_from_diagram(diag, coords_vars):
     env = diag.sample()
     ordered = []
@@ -449,29 +443,26 @@ def _box_from_diagram(diag, coords_vars):
     return tuple(box)
 
 
-def _projection_dimension(qf, m):
-    variables = _coord_vars(m)
-    for k in range(m, 0, -1):
-        for coords in itertools.combinations(range(m), k):
-            g = qf
-            for i in range(m):
-                if i not in coords:
-                    g = _project(g, variables[i])
+def _projection_dimension(diagrams, variables, consts):
+    """The largest coordinate tuple whose projection of the union of
+    `diagrams` holds an open cell, and a box around the first such cell in
+    enumeration order; () for a nonempty set with no open cell."""
+    for k in range(len(variables), 0, -1):
+        for coords in itertools.combinations(range(len(variables)), k):
             jvars = [variables[i] for i in coords]
-            for diag in order_diagrams(g, jvars):
-                open_cell = all(
-                    (len(vs) == 1 and c is None) for vs, c in diag.blocks if vs)
-                if open_cell:
-                    return coords, _box_from_diagram(diag, jvars)
-    if satisfiable_q(qf):
-        return (), ()
-    return None, None
+            open_cells = {p for p in (d.project(set(jvars)) for d in diagrams)
+                          if p.free_block_count() == k}
+            if open_cells:
+                first = next(d for d in enumerate_diagrams(jvars, consts) if d in open_cells)
+                return coords, _box_from_diagram(first, jvars)
+    return ((), ()) if diagrams else (None, None)
 
 
 def dimension(f, m, method="both") -> DimensionReport:
-    """Dimension of the set defined by f over (Q,<)^m.
+    """Dimension of the set defined by f over (Q,<)^m, read off its order
+    diagrams.
 
-    diagram method: maximal number of unconstrained blocks over implying
+    diagram method: maximal number of unconstrained blocks over the
     diagrams.  projection method: largest coordinate projection containing
     an open box (the box is exhibited).  The empty set gets a distinguished
     report.
@@ -482,13 +473,13 @@ def dimension(f, m, method="both") -> DimensionReport:
     extra = free_vars(f) - set(variables)
     if extra:
         raise DloError(f"free variables {sorted(extra)} outside x0..x{m-1}")
-    qf = _qe(f)
     if method not in ("diagram", "projection", "both"):
         raise DloError(f"unknown method {method!r}")
-    d_dim = _diagram_dimension(qf, variables) if method in ("diagram", "both") else None
+    diagrams = order_diagrams(f, variables)
+    d_dim = max((d.free_block_count() for d in diagrams), default=None)
     if method == "diagram":
         return DimensionReport(d_dim, "diagram")
-    coords, box = _projection_dimension(qf, m)
+    coords, box = _projection_dimension(diagrams, variables, constants_of(f))
     p_dim = None if coords is None else len(coords)
     if method == "both" and d_dim != p_dim:
         raise DloError(f"dimension methods disagree: diagram={d_dim} projection={p_dim}")
@@ -508,7 +499,7 @@ def product(f, m0, g, m1):
 # The symbolic context
 
 
-def standard_grid(consts, pad=1):
+def standard_grid(consts):
     """Constants, midpoints between neighbours, and one point beyond each
     extreme; [0] when there are no constants."""
     consts = sorted(set(Fraction(c) for c in consts))
@@ -517,8 +508,8 @@ def standard_grid(consts, pad=1):
     grid = list(consts)
     for a, b in zip(consts, consts[1:]):
         grid.append((a + b) * HALF)
-    grid.append(consts[0] - pad)
-    grid.append(consts[-1] + pad)
+    grid.append(consts[0] - 1)
+    grid.append(consts[-1] + 1)
     return sorted(set(grid))
 
 
@@ -550,8 +541,7 @@ class DloContext(Context):
         extra = free_vars(x) - set(self.obj_vars)
         if extra:
             raise DloError(f"free variables {sorted(extra)} outside the context sort")
-        g = _qe(x)
-        return DloSet(frozenset(constants_of(g)), tuple(order_diagrams(g, self.obj_vars)))
+        return DloSet(frozenset(constants_of(x)), tuple(order_diagrams(x, self.obj_vars)))
 
     def _instance_body(self, phi: PartitionedFormula, params):
         key = (phi, tuple(params))

@@ -204,6 +204,26 @@ def test_omin_cells(capsys):
     assert len(doc["result"]["cells"]) == 2
 
 
+@pytest.mark.parametrize("text, count", [
+    ("x0 < 1 | 1 < x0 | x0 = 1", 3),
+    ("x0 < 1 | 1 < x0", 2),
+    ("x0 < 1 | 0 = 0", 5),
+    ("x0 = x1 | x0 < 0", 7),
+    ("exists y. x < y & y < 1", 1),
+    ("x < 1 & exists x. x < 0", 3),
+    ("forall y. (0 < y & y < 1 -> x < y | z < y)", 18),
+])
+def test_omin_cells_over_the_inputs_own_constants(capsys, text, count):
+    # the cells are the order types of the input's free variables over its
+    # constants, whether or not elimination would keep every constant
+    code, cells, _ = run_json(capsys, "omin", "cells", text)
+    assert code == 0 and cells["result"]["count"] == count
+    code, qe, _ = run_json(capsys, "omin", "qe", text)
+    formula = qe["result"]["formula"]
+    if formula not in ("true", "false"):
+        assert formula.split(" | ") == cells["result"]["cells"]
+
+
 def test_omin_dim(capsys):
     code, doc, _ = run_json(capsys, "omin", "dim", "x0 = x1", "-m", "2")
     assert code == 0 and doc["result"]["dim"] == 1
@@ -339,6 +359,18 @@ PINNED = [
     # the budget stops the trace loop after 8 of its candidates
     (("mo", "moptest", "{mo12}", "--budget", "100"),
      {"hash": "dbfca01b675b337ebb31aacd0921c17b638ac2199dd1799514df914710bf4120"}),
+    (("omin", "qe", "exists y. exists w. y < x & x < w & w < z & 0 < y"),
+     {"hash": "1388e91516b33e8ee0196f35ead5100c57692fa73cef189227af8b3669b8a8f2"}),
+    (("omin", "qe", "forall y. (0 < y & y < 1 -> x < y | z < y)"),
+     {"hash": "857bb87607c43df73bb0dd216dd729800b50eef714bc54043892ed13328ac7ef"}),
+    (("omin", "cells", "x0 = x1 | x0 < 0"),
+     {"hash": "812af28a6e9b305f589517ac8c94a5712954e187e617692d3e043cd0a79ee089"}),
+    (("omin", "dim", "x0 = x1 & x2 < 0", "-m", "3"),
+     {"hash": "bba60fe4aef7d144b3687ac78022e2be01e6464c8445bd7f45efce08c63e18f1"}),
+    (("omin", "irdwitness", "x0 = x1 & x2 < 0", "-m", "3"),
+     {"hash": "4ae31c1cc9fc3030e3ef7f65aa0676033ccbe68440e56eb203b357ccd180f9a7"}),
+    (("omin", "prodcheck", "x0 = 0 & 0 < x1", "x0 < x1 & x1 < 1", "-m", "2", "-m1", "2"),
+     {"hash": "75605f5b22c4e401cdcc69ddbc359181b72b60214384f492e690402618cbc3b9"}),
 ]
 
 

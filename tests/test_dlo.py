@@ -10,7 +10,7 @@ import pytest
 
 from opdim import (
     And, Atom, BudgetExceededError, DimensionReport, DloContext, DloError,
-    Eq, Exists, Forall, Not, Or, Rat, Var, FALSE, TRUE,
+    Eq, Exists, Forall, Imp, Not, Or, Rat, Var, FALSE, TRUE,
     dimension, evaluate_q, ird_witness_from_dim, order_diagrams,
     parse_formula, parse_partitioned, product, qe_dlo, sat_sample,
     satisfiable_q, standard_grid,
@@ -162,6 +162,42 @@ def test_qe_forall_bounded():
     assert_equivalent(qe_dlo(f), parse_formula("x < z | x = z"))
 
 
+def random_formula(rng, variables, consts, depth=3, quantifiers=3):
+    """A random formula whose quantifiers nest up to `quantifiers` deep and
+    bind x, y or z, so a bound name may shadow a free one."""
+    if quantifiers and rng.random() < 0.3:
+        v = rng.choice("xyz")
+        body = random_formula(rng, sorted(set(variables) | {v}), consts, depth,
+                              quantifiers - 1)
+        return rng.choice((Exists, Forall))(v, body)
+    if depth == 0 or rng.random() < 0.3:
+        return random_qf_formula(rng, variables, consts, depth=0)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Not(random_formula(rng, variables, consts, depth - 1, quantifiers))
+    return (And, Or, Imp)[kind - 1](
+        random_formula(rng, variables, consts, depth - 1, quantifiers),
+        random_formula(rng, variables, consts, depth - 1, quantifiers))
+
+
+def grid_holds(f, env, consts):
+    """f at env, each quantifier ranging over the standard grid of the
+    constants and the values bound so far."""
+    if isinstance(f, (Exists, Forall)):
+        grid = standard_grid(consts | set(env.values()))
+        found = (grid_holds(f.sub, {**env, f.var: w}, consts) for w in grid)
+        return any(found) if isinstance(f, Exists) else all(found)
+    if isinstance(f, Not):
+        return not grid_holds(f.sub, env, consts)
+    if isinstance(f, And):
+        return grid_holds(f.left, env, consts) and grid_holds(f.right, env, consts)
+    if isinstance(f, Or):
+        return grid_holds(f.left, env, consts) or grid_holds(f.right, env, consts)
+    if isinstance(f, Imp):
+        return not grid_holds(f.left, env, consts) or grid_holds(f.right, env, consts)
+    return evaluate_q(f, env)
+
+
 def test_qe_random_suite_sampled_equivalence():
     # projecting a variable out is checked against a direct finite witness
     # search on each sample point's diagram grid
@@ -175,6 +211,14 @@ def test_qe_random_suite_sampled_equivalence():
             grid = standard_grid(consts | {env["x"]})
             direct = any(evaluate_q(g, {**env, "y": w}) for w in grid)
             assert evaluate_q(qf, env) == direct, (case, env)
+    # nested quantifiers, free names reused as bound ones
+    # (e.g. x < 1 & exists x. x < 0), against the recursive grid evaluator
+    for case in range(60):
+        f = random_formula(rng, ["x", "y"], [Q(0), Q(1)])
+        qf = qe_dlo(f)
+        consts = constants_of(f)
+        for env in sample_envs(sorted(free_vars(f)), consts, 20, seed=case):
+            assert evaluate_q(qf, env) == grid_holds(f, env, consts), (case, f, env)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +283,35 @@ def test_dimension_halfplane_with_box():
     for a in (lo0 + (hi0 - lo0) * Q(k, 4) for k in (1, 2, 3)):
         for b in (lo1 + (hi1 - lo1) * Q(k, 4) for k in (1, 2, 3)):
             assert evaluate_q(f, {"x0": a, "x1": b})
+
+
+def test_projection_box_extends_into_the_set():
+    # every probed point of the exhibited box extends to a point of the set,
+    # the other coordinates found one at a time on standard grids
+    def extends(f, env, others, consts):
+        if not others:
+            return evaluate_q(f, env)
+        grid = standard_grid(consts | set(env.values()))
+        return any(extends(f, {**env, others[0]: w}, others[1:], consts) for w in grid)
+
+    rng = random.Random(37)
+    boxes = 0
+    for case in range(80):
+        m = rng.randint(1, 3)
+        variables = [f"x{i}" for i in range(m)]
+        consts = sorted({Q(rng.randint(-2, 2), rng.choice((1, 2)))
+                         for _ in range(rng.randint(0, 2))})
+        f = random_qf_formula(rng, variables, consts)
+        rep = dimension(f, m, method="projection")
+        if not rep.dimension:
+            continue
+        boxes += 1
+        others = [v for i, v in enumerate(variables) if i not in rep.coords]
+        axes = [[lo + (hi - lo) * Q(k, 4) for k in (1, 2, 3)] for lo, hi in rep.box]
+        for point in itertools.product(*axes):
+            env = {variables[i]: x for i, x in zip(rep.coords, point)}
+            assert extends(f, env, others, constants_of(f)), (case, f, env)
+    assert boxes >= 40
 
 
 def test_dimension_empty_set_distinguished():
