@@ -560,9 +560,11 @@ class DloContext(Context):
         diagrams = s.diagrams
         for p in sorted(new):
             diagrams = [r for d in diagrams for r in _refine(d, p)]
-        # each constant of body is a block of every diagram: one sample decides a cell
+        # each constant of body is a block of every diagram, so `_holds` decides
+        # each cell, quantifiers included
+        memo = {}
         return DloSet(s.consts | new,
-                      tuple(d for d in diagrams if evaluate_q(body, d.sample())))
+                      tuple(d for d in diagrams if _holds(body, d, d.sample(), memo)))
 
     def is_empty(self, s):
         return not s.diagrams

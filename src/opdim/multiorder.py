@@ -230,6 +230,8 @@ def _topo_merge(elements, arcs):
 def amalgamate(A, B, C, e1: Embedding, e2: Embedding) -> Amalgam:
     """Amalgam of B and C over A: the union of both order diagrams, glued
     along the images of A and completed to total orders deterministically."""
+    if not A.n == B.n == C.n:
+        raise MultiOrderError(f"A, B and C carry {A.n}, {B.n} and {C.n} orders")
     for e, src, tgt, name in ((e1, A, B, "e1"), (e2, A, C, "e2")):
         if e.source is not src and e.source != src:
             raise MultiOrderError(f"{name} does not start at A")
@@ -281,6 +283,8 @@ def one_point_extend(B: MultiOrder, spec: ExtensionSpec, element=None) -> MultiO
 
 def generate_generic(n, size, seed, size_cap=4096) -> MultiOrder:
     """Iterated one-point extension with uniformly random position tuples."""
+    if size < 0:
+        raise MultiOrderError("size must be nonnegative")
     if size > size_cap:
         raise BudgetExceededError(f"size {size} exceeds the cap {size_cap}")
     rng = random.Random(seed)
@@ -343,29 +347,33 @@ class PictureWitness:
 
 @dataclass(frozen=True)
 class MopReport:
+    """The definable multi-cuts are the product of the per-order lists
+    `cuts`: cuts[i] holds the positions c such that the first c elements of
+    order i form a trace.  Every other multi-cut is missing."""
+
     total: int
     definable: int
-    missing: tuple  # MultiCuts with no defining parameters
-    status: str     # "exhaustive" | "budget"
+    cuts: tuple    # per order, the definable cut positions in increasing order
+    status: str    # "exhaustive" | "budget"
 
     @property
     def complete(self):
-        return self.status == "exhaustive" and not self.missing
+        return self.status == "exhaustive" and self.definable == self.total
 
     def to_json(self):
         return {"total": self.total, "definable": self.definable,
-                "missing": [list(z.cuts) for z in self.missing],
-                "status": self.status}
+                "missing": self.total - self.definable,
+                "cuts": [list(c) for c in self.cuts], "status": self.status}
 
 
 def check_mop_witness(w: PictureWitness, budget=None) -> MopReport:
     """For every multi-cut of the source, search parameters b_0..b_{n-1}
     with X_i = {a : phi(g(a), b_i)}.  The per-order searches are independent,
-    so definability is decided one order at a time: the achievable traces
-    are computed once, each cut position of each order is looked up once,
-    and a multi-cut is definable iff each of its n sides is.  The cost is
-    about candidates·|B| `holds` calls, n·(|B|+1) trace lookups, and the
-    size of `missing`, which lists up to (|B|+1)^n multi-cuts.
+    so a multi-cut is definable iff each of its n sides is a trace, and the
+    report keeps, per order, the cut positions that are.  The cost is about
+    candidates·|B| `holds` calls and n·(|B|+1) trace lookups; the report
+    has O(n·|B|) entries, however many of the (|B|+1)^n multi-cuts are
+    missing.
     """
     B = w.source
     phi = w.phi
@@ -383,15 +391,9 @@ def check_mop_witness(w: PictureWitness, budget=None) -> MopReport:
         trace = frozenset(a for a in B.universe if ctx.holds(phi, gmap[a], b))
         used += B.size
         traces.add(trace)
-    # gaps[i][c]: the first c elements of order i are not a trace
-    gaps = [[frozenset(order[:c]) not in traces for c in range(B.size + 1)]
-            for order in B.orders]
-    definable = math.prod(gap.count(False) for gap in gaps)
-    missing = itertools.compress(
-        itertools.product(range(B.size + 1), repeat=B.n),
-        map(any, itertools.product(*gaps)))
-    return MopReport((B.size + 1) ** B.n, definable,
-                     tuple(map(MultiCut, missing)), status)
+    cuts = tuple(tuple(c for c in range(B.size + 1) if frozenset(order[:c]) in traces)
+                 for order in B.orders)
+    return MopReport((B.size + 1) ** B.n, math.prod(map(len, cuts)), cuts, status)
 
 
 def pairwise_comparable(points):

@@ -192,6 +192,8 @@ def _witness_space(context, psi, witness_grid):
 
 def _search(context, base, pool, depth, length, witness_grid, budget_limit,
             constraints_of, pattern_cls):
+    if depth < 0:
+        raise PatternError("depth must be nonnegative")
     s = context.to_set(base)
     budget = _Budget(budget_limit)
 
@@ -341,14 +343,13 @@ def ird_from_alternation(context, base, realization, phi: PartitionedFormula,
         return None
     # row i straddles the cut between blocks i and i+1; an interior block
     # feeds two rows, so each side gets a disjoint half of it
-    def side_budget(j, side):
+    def side_budget(j):
         start, end, _ = part.blocks[j]
         size = end - start
         interior = 0 < j < m - 1
         return size // 2 if interior else size
 
-    width = min(min(side_budget(i, "right"), side_budget(i + 1, "left"))
-                for i in range(m - 1))
+    width = min(side_budget(j) for j in range(m))
     if width == 0:
         return None
     rows_f = []

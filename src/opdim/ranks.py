@@ -77,11 +77,10 @@ def _nonempty_base(q: RankQuery):
 class _RankEngine:
     """Memoized computation of 'rank >= r' by the splitting recursion."""
 
-    def __init__(self, context, delta, n, cap):
+    def __init__(self, context, delta, n):
         self.context = context
         self.delta = delta
         self.n = n
-        self.cap = cap
         self.memo = {}
 
     def instances(self, s):
@@ -125,34 +124,34 @@ class _RankEngine:
         self.memo[key] = result
         return result
 
-    def rank(self, s):
-        r = 0
-        while r < self.cap and self.at_least(s, r + 1):
-            r += 1
-        if r >= self.cap:
-            return RankValue.at_least(self.cap)
-        return RankValue.exact(r)
+
+def _capped_rank(engine, q: RankQuery) -> RankValue:
+    """The rank of the query's base: the largest r with
+    engine.at_least(base, r), reported as at_least cap once r reaches it."""
+    s = _nonempty_base(q)
+    r = 0
+    while r < q.cap and engine.at_least(s, r + 1):
+        r += 1
+    if r >= q.cap:
+        return RankValue.at_least(q.cap)
+    return RankValue.exact(r)
 
 
 def op_rank(q: RankQuery) -> RankValue:
     """rank >= a+1 iff n instances from Delta split the set into 2^n nonempty
     sign cells, each of rank >= a."""
-    s = _nonempty_base(q)
-    return _RankEngine(q.context, q.delta, q.n, q.cap).rank(s)
+    return _capped_rank(_RankEngine(q.context, q.delta, q.n), q)
 
 
 def shelah_rank2(q: RankQuery) -> RankValue:
     """Shelah 2-rank: iterated two-way splitting by single instances."""
-    s = _nonempty_base(q)
-    engine = _Shelah2Engine(q.context, q.delta, q.cap)
-    return engine.rank(s)
+    return _capped_rank(_Shelah2Engine(q.context, q.delta), q)
 
 
 class _Shelah2Engine:
-    def __init__(self, context, delta, cap):
+    def __init__(self, context, delta):
         self.context = context
         self.delta = delta
-        self.cap = cap
         self.memo = {}
 
     def at_least(self, s, r):
@@ -180,14 +179,6 @@ class _Shelah2Engine:
                 break
         self.memo[key] = result
         return result
-
-    def rank(self, s):
-        r = 0
-        while r < self.cap and self.at_least(s, r + 1):
-            r += 1
-        if r >= self.cap:
-            return RankValue.at_least(self.cap)
-        return RankValue.exact(r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
+import itertools
 import json
+import math
 
 import jsonschema
 import pytest
 
 from opdim import structure_to_dict
-from opdim.cli import main
-from opdim.multiorder import dump_multiorder, generate_generic
+from opdim.cli import main, make_report
+from opdim.multiorder import dump_multiorder, generate_generic, load_multiorder
 
 from conftest import chain
 
@@ -351,14 +353,16 @@ PINNED = [
          "orders": [["('B', 'a')", "('C', 'd')", "('B', 'b')", "('B', 'c')"],
                     ["('B', 'c')", "('C', 'd')", "('B', 'a')", "('B', 'b')"]]}}}),
     (("mo", "moptest", "{b}"),
-     {"result": {"definable": 8, "total": 16, "status": "exhaustive",
-                 "missing": [[0, 1], [0, 2], [1, 1], [1, 2], [2, 1], [2, 2], [3, 1], [3, 2]]}}),
+     {"result": {"definable": 8, "total": 16, "status": "exhaustive", "missing": 8,
+                 "cuts": [[0, 1, 2, 3], [0, 3]]}}),
     # a generated 12-element 3-order: 2,197 multi-cuts, 78 of them definable
     (("mo", "moptest", "{mo12}"),
-     {"hash": "9d3ac1eedc49ed55381c5748866102b2f8b58dc7d1ab88d947040e49bd58aeee"}),
+     {"hash": "6cfc32f20d503a4b8895f5dbbe6cca2bbe3eeb6a636f4451dc5cfc114acb51e6"}),
     # the budget stops the trace loop after 8 of its candidates
     (("mo", "moptest", "{mo12}", "--budget", "100"),
-     {"hash": "dbfca01b675b337ebb31aacd0921c17b638ac2199dd1799514df914710bf4120"}),
+     {"hash": "d7c474badf9345e63c7b84323af454af1f97bc7608669c320e0e52dc6ba6f7fa"}),
+    (("mo", "cuts", "{mo12}"),
+     {"hash": "ab28a644bd61b1df4938c741ad24971961d996ce5c9ae0690bc6ec13826d83c1"}),
     (("omin", "qe", "exists y. exists w. y < x & x < w & w < z & 0 < y"),
      {"hash": "1388e91516b33e8ee0196f35ead5100c57692fa73cef189227af8b3669b8a8f2"}),
     (("omin", "qe", "forall y. (0 < y & y < 1 -> x < y | z < y)"),
@@ -388,6 +392,70 @@ def test_report_pinned(capsys, files, argv, want):
     assert doc[key] == value
 
 
+# The mo moptest reports as they were when `missing` listed every missing
+# multi-cut, before it became a count beside the per-order `cuts`.
+LISTED_MOPTEST = [
+    (("mo", "moptest", "{b}"),
+     {"result": {"definable": 8, "total": 16, "status": "exhaustive",
+                 "missing": [[0, 1], [0, 2], [1, 1], [1, 2], [2, 1], [2, 2], [3, 1], [3, 2]]}}),
+    (("mo", "moptest", "{mo12}"),
+     {"hash": "9d3ac1eedc49ed55381c5748866102b2f8b58dc7d1ab88d947040e49bd58aeee"}),
+    (("mo", "moptest", "{mo12}", "--budget", "100"),
+     {"hash": "dbfca01b675b337ebb31aacd0921c17b638ac2199dd1799514df914710bf4120"}),
+]
+
+
+@pytest.mark.parametrize("argv, want", LISTED_MOPTEST, ids=[" ".join(a) for a, _ in LISTED_MOPTEST])
+def test_moptest_cuts_expand_to_the_listed_report(capsys, files, argv, want):
+    # the multi-cuts outside the product of the per-order cut positions are
+    # exactly the ones the listed report named, in the same order
+    argv = [a.format(**files) for a in argv]
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    mo = load_multiorder(argv[2])
+    result = dict(doc["result"])
+    sides = [set(c) for c in result.pop("cuts")]
+    result["missing"] = [list(z) for z in itertools.product(range(mo.size + 1), repeat=mo.n)
+                         if not all(c in side for c, side in zip(z, sides))]
+    listed = make_report(doc["command"], doc["config"], result, 0)
+    (key, value), = want.items()
+    assert listed[key] == value
+
+
+def test_moptest_report_is_small(capsys, tmp_path):
+    # the generated 40-element 3-order misses 68,757 of its 68,921 multi-cuts
+    path = tmp_path / "mo40.json"
+    dump_multiorder(generate_generic(3, 40, seed=5), str(path))
+    for fmt in ("text", "json"):
+        code, out, _ = run(capsys, "mo", "moptest", str(path), "--format", fmt)
+        assert code == 0 and len(out.encode()) < 10_000
+
+
+def test_multiorder_commands_on_eight_orders(capsys, tmp_path):
+    # 21^8 multi-cuts: neither command may visit them one by one
+    path = tmp_path / "mo8.json"
+    dump_multiorder(generate_generic(8, 20, seed=3), str(path))
+    total = 21 ** 8
+    code, doc, _ = run_json(capsys, "mo", "cuts", str(path))
+    assert code == 0 and doc["result"] == {"count": total, "expected": total}
+    code, doc, _ = run_json(capsys, "mo", "moptest", str(path))
+    result = doc["result"]
+    assert code == 0 and result["total"] == total and result["status"] == "exhaustive"
+    # on dlo an element stands at its position in the first order
+    assert len(result["cuts"]) == 8 and result["cuts"][0] == list(range(21))
+    definable = math.prod(map(len, result["cuts"]))
+    assert result["definable"] == definable == total - result["missing"]
+
+
+def test_quantified_formulas_on_dlo(capsys):
+    code, doc, _ = run_json(capsys, "rank", "dlo", "--delta",
+                            "x0 ; y : exists z. x0 < z & z < y", "--cap", "3")
+    assert code == 0 and doc["result"]["rank"] == {"at_least": 3}
+    code, doc, _ = run_json(capsys, "ird", "dlo", "--pool", "x0 ; w : exists z. x0 < z & z < w",
+                            "--depth", "1", "--length", "2", "--grid", "0,1")
+    assert code == 0 and doc["result"]["status"] == "found"
+
+
 def test_seed_belongs_to_mo_gen_only(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rank", "dlo", "--delta", "x0 ; y : x0 < y", "--seed", "1"])
@@ -414,6 +482,9 @@ BAD_FILES = {
     "witness_not_string": {"depth": 1, "length": 1, "formulas": ["x0 ; w : x0 < w"],
                            "witnesses": [[[[1]]]]},
     "abc": {"n": 1, "universe": ["a", "b", "c"], "orders": [["a", "b", "c"]]},
+    "pq": {"n": 1, "universe": ["p", "q"], "orders": [["p", "q"]]},
+    "rs": {"n": 2, "universe": ["r", "s"], "orders": [["r", "s"], ["s", "r"]]},
+    "empty1": {"n": 1, "universe": [], "orders": [[]]},
 }
 
 
@@ -455,6 +526,12 @@ def bad_files(tmp_path, chain4_file):
     # negative counts
     ("mo", "extcheck", "{abc}", "-k", "-1"),
     ("omin", "dim", "true", "-m", "-1"),
+    ("ird", "dlo", "--pool", "x0 ; w : x0 < w", "--depth", "-1"),
+    ("mo", "gen", "-n", "2", "--size", "-3"),
+    # multi-orders with different numbers of orders
+    ("mo", "amalgamate", "{pq}", "{rs}"),
+    ("mo", "amalgamate", "{rs}", "{pq}"),
+    ("mo", "amalgamate", "{rs}", "{empty1}"),
 ], ids=lambda argv: " ".join(argv))
 def test_input_error_exits_2(capsys, bad_files, argv):
     code, out, err = run(capsys, *(a.format(**bad_files) for a in argv))

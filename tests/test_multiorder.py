@@ -6,7 +6,7 @@ import pytest
 
 from opdim import (
     BudgetExceededError, DloContext, Embedding, ExtensionSpec, MultiCut,
-    MopReport, MultiOrder, MultiOrderError, PictureWitness, amalgamate,
+    MultiOrder, MultiOrderError, PictureWitness, amalgamate,
     check_embedding, check_mop_witness, enumerate_multicuts,
     extension_property_level, generate_generic, grid_embed, linearize_grid,
     multiorder_from_dict, multiorder_to_dict, one_point_extend,
@@ -221,6 +221,16 @@ def test_amalgamate_rejects_non_embedding():
         amalgamate(A, B, B, e_bad, e_bad)
 
 
+def test_amalgamate_rejects_different_order_counts():
+    one = MultiOrder(1, ("p", "q"), (("p", "q"),))
+    two = opposed(("r", "s"))
+    empty1, empty2 = MultiOrder(1, (), ((),)), MultiOrder(2, (), ((), ()))
+    for A, B, C in ((empty1, one, two), (empty2, two, one), (empty2, two, empty1),
+                    (empty1, two, two)):
+        with pytest.raises(MultiOrderError, match="orders"):
+            amalgamate(A, B, C, Embedding(A, B, ()), Embedding(A, C, ()))
+
+
 def test_one_point_extend_top():
     mo = opposed(("a", "b"))
     out = one_point_extend(mo, ExtensionSpec((2, 2)))
@@ -271,6 +281,11 @@ def test_generate_generic_deterministic():
 def test_generate_generic_respects_cap():
     with pytest.raises(BudgetExceededError):
         generate_generic(2, 100, seed=0, size_cap=64)
+
+
+def test_generate_generic_rejects_negative_size():
+    with pytest.raises(MultiOrderError):
+        generate_generic(2, -3, seed=0)
 
 
 def test_extension_property_level_zero():
@@ -324,8 +339,9 @@ def test_mop_opposed_orders_in_one_chain_misses_cuts():
     phi = parse_partitioned("x0 ; w : x0 < w")
     report = check_mop_witness(PictureWitness(mo, ctx, g, phi))
     assert report.status == "exhaustive"
-    assert report.total == 9 and report.missing
-    assert report.definable < report.total
+    # order 1 runs b < a, and {b} is no trace of x0 < w at a = 0, b = 1
+    assert report.total == 9 and report.cuts == ((0, 1, 2), (0, 2))
+    assert report.definable == 6 and not report.complete
 
 
 def test_mop_empty_source_complete():
@@ -348,7 +364,8 @@ def test_mop_budget_reported():
 def reference_mop(w, budget=None):
     """The multi-order-property check read straight off its definition: a
     multi-cut is definable iff each of its sets is the trace of some
-    parameter tuple."""
+    parameter tuple.  Returns the multi-cut count, the set of definable
+    multi-cuts (as position tuples) and the status."""
     B, ctx, gmap = w.source, w.context(), dict(w.point_map)
     extra = sorted({v for img in gmap.values() for v in img})
     traces, used, status = set(), 0, "exhaustive"
@@ -358,10 +375,9 @@ def reference_mop(w, budget=None):
             break
         traces.add(frozenset(a for a in B.universe if ctx.holds(w.phi, gmap[a], b)))
         used += B.size
-    missing = tuple(z for z in enumerate_multicuts(B)
-                    if not all(x in traces for x in multicut_sets(B, z)))
-    total = (B.size + 1) ** B.n
-    return MopReport(total, total - len(missing), missing, status)
+    definable = {z.cuts for z in enumerate_multicuts(B)
+                 if all(x in traces for x in multicut_sets(B, z))}
+    return (B.size + 1) ** B.n, definable, status
 
 
 MOP_PHIS = ("x0 ; y : x0 < y", "x0 ; y : y < x0", "x0 ; y : x0 = y")
@@ -384,7 +400,10 @@ def test_mop_matches_reference_on_random_multiorders():
         # a budget that stops the trace loop after some candidates but not all
         mid = mo.size * rng.randrange(1, 4) + rng.randrange(mo.size + 1)
         for budget in (None, 0, mid):
-            assert check_mop_witness(w, budget) == reference_mop(w, budget), (k, budget)
+            report = check_mop_witness(w, budget)
+            got = report.total, set(itertools.product(*report.cuts)), report.status
+            assert got == reference_mop(w, budget), (k, budget)
+            assert report.definable == len(got[1])
 
 
 def test_picture_witness_requires_injectivity():

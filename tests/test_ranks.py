@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from opdim import (
     BudgetExceededError, DloContext, FiniteContext, InconsistentTypeError,
-    RankQuery, RankValue, gamma_consistent, localized_opd, op_dimension,
-    op_rank, parse_partitioned, shelah_rank2,
+    PartitionedFormula, RankQuery, RankValue, gamma_consistent, localized_opd,
+    op_dimension, op_rank, parse_partitioned, qe_dlo, shelah_rank2,
 )
 from opdim.contexts import FinSet
 from opdim.logic import DefinableSubset
@@ -115,6 +115,25 @@ def test_op_rank_symbolic_order_zero_at_n2():
     lt = parse_partitioned("x0 ; y : x0 < y")
     q = RankQuery(ctx, ctx.top(), (lt,), n=2, cap=3)
     assert op_rank(q).to_json() == {"exact": 0}
+
+
+@pytest.mark.parametrize("text", [
+    "x0 ; y : exists z. x0 < z & z < y",
+    "x0 ; y : exists z. x0 < z & z < y & 0 < z",
+    "x0 ; y : forall z. (z < y -> z < x0 | z = x0)",
+    "x0 ; y : ~(exists z. z < x0 & 1 < z) & x0 < y",
+])
+def test_quantified_delta_ranks_as_its_quantifier_free_form(text):
+    # restrict decides a quantified instance on the cells' diagrams, so it
+    # cuts out the same cells as the eliminated formula, over the same constants
+    ctx = DloContext(1)
+    phi = parse_partitioned(text)
+    free = PartitionedFormula(qe_dlo(phi.body), phi.obj_vars, phi.param_vars)
+    for n, cap in ((1, 4), (2, 2)):
+        ranks = [op_rank(RankQuery(ctx, ctx.top(), (f,), n=n, cap=cap)) for f in (phi, free)]
+        assert ranks[0] == ranks[1], (n, ranks)
+    ranks = [shelah_rank2(RankQuery(ctx, ctx.top(), (f,), cap=4)) for f in (phi, free)]
+    assert ranks[0] == ranks[1] and ranks[0].capped
 
 
 # ---------------------------------------------------------------------------
