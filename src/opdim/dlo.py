@@ -1,10 +1,13 @@
 """The symbolic (Q, <) engine.  Order diagrams decide every first-order
-formula, a quantifier by the one-variable extensions of a diagram; on them
-rest quantifier elimination, cell dimension, and the context object that
-holds each set as its order diagrams, so the rank and pattern machinery runs
-over the dense order unchanged.  ``sat_sample`` is an independent
-exact-rational satisfiability solver (DNF and order graphs), the tests'
-reference for the diagrams.
+formula, an atom on the block indices of its terms and a quantifier by the
+one-variable extensions of a diagram; on them rest quantifier elimination,
+cell dimension, and the context object, so the rank and pattern machinery
+runs over the dense order unchanged.  The context holds a set as integer
+cells (see `DloSet`): with k variables, the constant of rank i sits at
+(i+1)(k+1) and the j-th variable block of the gap below it at i(k+1)+j, so
+its rank memo keys a set by its shape, up to the automorphisms fixing the
+formulas' constants.  ``sat_sample`` is an independent exact-rational
+satisfiability solver (DNF and order graphs), the tests' reference.
 
 All arithmetic is exact (fractions.Fraction); no floating point anywhere.
 """
@@ -12,14 +15,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .contexts import BudgetExceededError, Context
 from .logic import (
     And, Atom, Bot, Eq, Exists, Forall, Imp, Not, Or, Rat, Top, Var,
     FALSE, TRUE, PartitionedFormula, conj_all, disj_all, free_vars, rename_vars,
-    signed,
 )
 
 
@@ -69,27 +71,14 @@ def evaluate_q(f, env=None):
 
 
 def constants_of(f):
-    out = set()
-
-    def walk(g):
-        if isinstance(g, Atom):
-            for a in g.args:
-                if isinstance(a, Rat):
-                    out.add(a.value)
-        elif isinstance(g, Eq):
-            for a in (g.left, g.right):
-                if isinstance(a, Rat):
-                    out.add(a.value)
-        elif isinstance(g, Not):
-            walk(g.sub)
-        elif isinstance(g, (And, Or, Imp)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.sub)
-
-    walk(f)
-    return out
+    if isinstance(f, (Atom, Eq)):
+        return {a.value for a in (f.args if isinstance(f, Atom) else (f.left, f.right))
+                if isinstance(a, Rat)}
+    if isinstance(f, (Not, Forall, Exists)):
+        return constants_of(f.sub)
+    if isinstance(f, (And, Or, Imp)):
+        return constants_of(f.left) | constants_of(f.right)
+    return set()
 
 
 # ---------------------------------------------------------------------------
@@ -278,30 +267,17 @@ class OrderDiagram:
             yield OrderDiagram(blocks[:gap] + ((frozenset({v}), None),) + blocks[gap:])
 
     def sample(self):
+        """Rationals for the variables: blocks step by 1 below the first
+        constant and above the last (from block 0 at 0 when there is none),
+        and are evenly spaced between two constants."""
         anchors = [(i, c) for i, (_, c) in enumerate(self.blocks) if c is not None]
-        values = {}
-        n = len(self.blocks)
-        if not anchors:
-            for i in range(n):
-                values[i] = Fraction(i)
-        else:
-            for i, c in anchors:
-                values[i] = c
-            first_i, first_c = anchors[0]
-            for i in range(first_i):
-                values[i] = first_c - (first_i - i)
-            last_i, last_c = anchors[-1]
-            for i in range(last_i + 1, n):
-                values[i] = last_c + (i - last_i)
-            for (i1, c1), (i2, c2) in zip(anchors, anchors[1:]):
-                gap = i2 - i1
-                for k in range(1, gap):
-                    values[i1 + k] = c1 + (c2 - c1) * Fraction(k, gap)
-        env = {}
-        for i, (vs, _) in enumerate(self.blocks):
-            for v in vs:
-                env[v] = values[i]
-        return env
+        anchors = anchors or [(0, Fraction(0))]
+        (i0, c0), (i1, c1) = anchors[0], anchors[-1]
+        values = [c0 - (i0 - i) for i in range(i0)]
+        for (ia, ca), (ib, cb) in zip(anchors, anchors[1:]):
+            values += [ca + (cb - ca) * Fraction(k, ib - ia) for k in range(ib - ia)]
+        values += [c1 + (i - i1) for i in range(i1, len(self.blocks))]
+        return {v: values[i] for i, (vs, _) in enumerate(self.blocks) for v in vs}
 
     def to_formula(self):
         parts = []
@@ -332,47 +308,65 @@ def enumerate_diagrams(variables, consts):
     return diagrams
 
 
-def _refine(diagram, p):
-    """The diagrams refining `diagram` by a new constant p: p goes between its
-    neighbouring constant blocks, as a new block or into a variable-only one."""
-    blocks = diagram.blocks
-    at = [i for i, (_, c) in enumerate(blocks) if c is not None]
-    j = bisect_left([blocks[i][1] for i in at], p)
-    lo, hi = at[j - 1] if j else -1, at[j] if j < len(at) else len(blocks)
-    out = []
-    for i in range(lo + 1, hi + 1):
-        out.append(OrderDiagram(blocks[:i] + ((frozenset(), p),) + blocks[i:]))
-        if i < hi:
-            out.append(OrderDiagram(blocks[:i] + ((blocks[i][0], p),) + blocks[i + 1:]))
-    return out
+_cname = "#{}".format   # the variable name a lifted formula gives a constant
 
 
-def _holds(f, d, env, memo):
-    """Whether the diagram d, sampled at env, satisfies f.  Every constant of
-    f is a block of d, so d decides each atom.  A quantified subformula
-    depends only on `base`, d cut down to the subformula's free variables
-    (so its bound variable is dropped even where it shadows a free one); by
-    the homogeneity of (Q,<), base satisfies `exists v. g` iff one of the
-    diagrams adding v to it satisfies g, and `forall v. g` iff all of them
-    do.  `memo` keeps each quantified subformula's free variables and its
-    answer on each base."""
+def _lift(f):
+    """f with each constant c read as the variable `_cname(c)`, so that an env
+    places the constants as it places the variables."""
+    term = lambda a: Var(_cname(a.value)) if isinstance(a, Rat) else a
+    if isinstance(f, Atom):
+        return Atom(f.rel, tuple(map(term, f.args)))
+    if isinstance(f, Eq):
+        return Eq(term(f.left), term(f.right))
+    if isinstance(f, (Not, Exists, Forall)):
+        return replace(f, sub=_lift(f.sub))
+    if isinstance(f, (And, Or, Imp)):
+        return replace(f, left=_lift(f.left), right=_lift(f.right))
+    return f
+
+
+def _quantified(f):
+    if isinstance(f, (Not, And, Or, Imp)):
+        return any(map(_quantified, (f.sub,) if isinstance(f, Not) else (f.left, f.right)))
+    return isinstance(f, (Exists, Forall))
+
+
+def _positions(d):
+    """Each variable of d, and each constant's `_cname`, at its block's index."""
+    env = {_cname(c): i for i, (_, c) in enumerate(d.blocks) if c is not None}
+    env.update((v, i) for i, (vs, _) in enumerate(d.blocks) for v in vs)
+    return env
+
+
+def _holds(f, project, env, memo):
+    """Whether a diagram d satisfies the lifted formula f (see `_lift`); env
+    places every variable and constant of d at an integer, in d's order, so
+    it decides each atom, and `project(names)` is d.project(names).  A
+    quantified subformula depends only on `base`, d cut down to the
+    subformula's free variables (so its bound variable is dropped even where
+    it shadows a free one); by the homogeneity of (Q,<), base satisfies
+    `exists v. g` iff one of the diagrams adding v to it satisfies g, and
+    `forall v. g` iff all of them do.  `memo` keeps each quantified
+    subformula's free variables and its answer on each base."""
     if isinstance(f, (Exists, Forall)):
         if id(f) not in memo:
             memo[id(f)] = free_vars(f), {}
         scope, answers = memo[id(f)]
-        base = d.project(scope)
+        base = project(scope)
         if base not in answers:
-            found = (_holds(f.sub, e, e.sample(), memo) for e in base.extensions(f.var))
+            found = (_holds(f.sub, e.project, _positions(e), memo)
+                     for e in base.extensions(f.var))
             answers[base] = any(found) if isinstance(f, Exists) else all(found)
         return answers[base]
     if isinstance(f, Not):
-        return not _holds(f.sub, d, env, memo)
+        return not _holds(f.sub, project, env, memo)
     if isinstance(f, And):
-        return _holds(f.left, d, env, memo) and _holds(f.right, d, env, memo)
+        return _holds(f.left, project, env, memo) and _holds(f.right, project, env, memo)
     if isinstance(f, Or):
-        return _holds(f.left, d, env, memo) or _holds(f.right, d, env, memo)
+        return _holds(f.left, project, env, memo) or _holds(f.right, project, env, memo)
     if isinstance(f, Imp):
-        return not _holds(f.left, d, env, memo) or _holds(f.right, d, env, memo)
+        return not _holds(f.left, project, env, memo) or _holds(f.right, project, env, memo)
     return evaluate_q(f, env)
 
 
@@ -383,9 +377,9 @@ def order_diagrams(f, variables=None, extra_consts=()):
     if variables is None:
         variables = sorted(free_vars(f))
     consts = constants_of(f) | set(extra_consts)
-    memo = {}
+    lifted, memo = _lift(f), {}
     return [d for d in enumerate_diagrams(variables, consts)
-            if _holds(f, d, d.sample(), memo)]
+            if _holds(lifted, d.project, _positions(d), memo)]
 
 
 def qe_dlo(f):
@@ -430,9 +424,7 @@ def _coord_vars(m):
 
 def _box_from_diagram(diag, coords_vars):
     env = diag.sample()
-    ordered = []
-    for i, (vs, c) in enumerate(diag.blocks):
-        ordered.append(env[next(iter(vs))] if vs else c)
+    ordered = [env[next(iter(vs))] if vs else c for vs, c in diag.blocks]
     box = []
     for v in coords_vars:
         idx = next(i for i, (vs, _) in enumerate(diag.blocks) if v in vs)
@@ -502,23 +494,54 @@ def product(f, m0, g, m1):
 def standard_grid(consts):
     """Constants, midpoints between neighbours, and one point beyond each
     extreme; [0] when there are no constants."""
-    consts = sorted(set(Fraction(c) for c in consts))
+    consts = sorted(set(map(Fraction, consts)))
     if not consts:
         return [Fraction(0)]
-    grid = list(consts)
-    for a, b in zip(consts, consts[1:]):
-        grid.append((a + b) * HALF)
-    grid.append(consts[0] - 1)
-    grid.append(consts[-1] + 1)
-    return sorted(set(grid))
+    mids = [(a + b) * HALF for a, b in zip(consts, consts[1:])]
+    return sorted(consts + mids + [consts[0] - 1, consts[-1] + 1])
 
 
 @dataclass(frozen=True)
 class DloSet:
-    """A subset of (Q,<)^m: the union of `diagrams`, order diagrams over `consts`."""
+    """A subset of (Q,<)^k: `consts` is the sorted tuple c_0 < ... < c_{m-1}
+    of its constants, and `diagrams` its cells, in a fixed order, as order
+    diagrams over them in integer form.  A cell holds one position per
+    context variable: c_i sits at (i+1)(k+1), and the j-th variable block
+    (1 <= j <= k) of the gap below c_i (above every constant for i = m) at
+    i(k+1)+j.  The form is canonical, so equal cells are equal tuples."""
 
-    consts: frozenset
+    consts: tuple
     diagrams: tuple
+
+
+def _cell(diagram, variables, stride):
+    """The integer form (see DloSet) of an order diagram; stride is k+1."""
+    at, gap, j = {}, 0, 0
+    for vs, c in diagram.blocks:
+        gap, j = (gap, j + 1) if c is None else (gap + 1, 0)
+        at.update(dict.fromkeys(vs, gap * stride + j))
+    return tuple(at[v] for v in variables)
+
+
+def _uncell(cell, consts, variables, stride):
+    """The order diagram over `consts` of an integer cell."""
+    places = sorted(set(cell).union(range(stride, stride * len(consts) + 1, stride)))
+    return OrderDiagram(tuple(
+        (frozenset(v for v, q in zip(variables, cell) if q == p),
+         None if p % stride else consts[p // stride - 1]) for p in places))
+
+
+def _split(cell, r, stride):
+    """The cells refining `cell` by a new constant of rank r, in the order: a
+    new block after 0 of the b blocks of gap r, joining block 1, a new block
+    after 1, ..., after b.  The gap's blocks above it, and every position
+    above the gap, move up one gap."""
+    lo = r * stride
+    hi = lo + stride
+    b = max((q - lo for q in cell if lo < q < hi), default=0)
+    # positions from u on move; t blocks of gap r stay below the constant
+    return [tuple(q if q < u else q + stride - t if q < hi else q + stride for q in cell)
+            for u, t in ((lo + 1 + i // 2, (i + 1) // 2) for i in range(2 * b + 1))]
 
 
 class DloContext(Context):
@@ -528,12 +551,17 @@ class DloContext(Context):
         self.obj_vars = _coord_vars(num_vars)
         self.arity = num_vars
         self.max_candidates = max_candidates
-        self._bodies = {}  # (phi, params) -> the instance body and its constants
+        self._bodies = {}  # (phi, params) -> lifted instance body, sorted (name, constant)s
+        self._grids = {}   # (phi, extra constants) -> the candidate parameter tuples
+        self._fixed = ()   # the sorted constants of every formula asked about
+
+    def _set(self, consts, diagrams):
+        return DloSet(consts, tuple(_cell(d, self.obj_vars, self.arity + 1) for d in diagrams))
 
     def top(self, arity=None):
         if arity not in (None, self.arity):
             raise DloError("symbolic context has a fixed arity")
-        return DloSet(frozenset(), tuple(enumerate_diagrams(self.obj_vars, ())))
+        return self._set((), enumerate_diagrams(self.obj_vars, ()))
 
     def to_set(self, x):
         if isinstance(x, DloSet):
@@ -541,30 +569,41 @@ class DloContext(Context):
         extra = free_vars(x) - set(self.obj_vars)
         if extra:
             raise DloError(f"free variables {sorted(extra)} outside the context sort")
-        return DloSet(frozenset(constants_of(x)), tuple(order_diagrams(x, self.obj_vars)))
+        return self._set(tuple(sorted(constants_of(x))), order_diagrams(x, self.obj_vars))
+
+    def _fix(self, consts):
+        self._fixed = tuple(sorted(consts.union(self._fixed)))
 
     def _instance_body(self, phi: PartitionedFormula, params):
         key = (phi, tuple(params))
         if key not in self._bodies:
-            body = phi.instantiate(tuple(Fraction(p) for p in params))
-            if phi.obj_vars != self.obj_vars:
-                if len(phi.obj_vars) != self.arity:
-                    raise DloError("formula object sort does not match the context")
-                body = rename_vars(body, dict(zip(phi.obj_vars, self.obj_vars)))
-            self._bodies[key] = body, constants_of(body)
+            if len(phi.obj_vars) != self.arity:
+                raise DloError("formula object sort does not match the context")
+            self._fix(constants_of(phi.body))
+            body = phi.instantiate(tuple(map(Fraction, params)))
+            names = tuple((_cname(c), c) for c in sorted(constants_of(body)))
+            self._bodies[key] = _lift(body), names, _quantified(body)
         return self._bodies[key]
 
     def restrict(self, s, phi, params, sign):
-        body, mentioned = self._instance_body(phi, params)
-        body, new = signed(body, sign), mentioned - s.consts
-        diagrams = s.diagrams
-        for p in sorted(new):
-            diagrams = [r for d in diagrams for r in _refine(d, p)]
-        # each constant of body is a block of every diagram, so `_holds` decides
-        # each cell, quantifiers included
-        memo = {}
-        return DloSet(s.consts | new,
-                      tuple(d for d in diagrams if _holds(body, d, d.sample(), memo)))
+        body, names, quantified = self._instance_body(phi, params)
+        stride, consts, cells = self.arity + 1, list(s.consts), s.diagrams
+        for _, c in names:
+            r = bisect_left(consts, c)
+            if r == len(consts) or consts[r] != c:
+                consts.insert(r, c)
+                cells = [e for cell in cells for e in _split(cell, r, stride)]
+        consts = tuple(consts)
+        env = {name: (bisect_left(consts, c) + 1) * stride for name, c in names}
+        memo, keep, want = {}, [], bool(sign)
+        for cell in cells:
+            env.update(zip(phi.obj_vars, cell))
+            # only a quantifier needs the cell's diagram
+            holds = (_holds(body, _uncell(cell, consts, phi.obj_vars, stride).project, env, memo)
+                     if quantified else evaluate_q(body, env))
+            if holds == want:
+                keep.append(cell)
+        return DloSet(consts, tuple(keep))
 
     def is_empty(self, s):
         return not s.diagrams
@@ -573,29 +612,41 @@ class DloContext(Context):
         return None
 
     def cache_key(self, s):
-        return frozenset(s.diagrams)
+        """Equal for two sets when an order automorphism fixing the constants
+        of every formula asked about carries one onto the other: the cells;
+        the fixed constants of the set by value; where each fixed constant
+        falls among the set's.  Sound for the rank memo, as a node's
+        candidates are one point per gap of Delta's constants and the set's."""
+        fixed = self._fixed
+        return (frozenset(s.diagrams), tuple(c if c in fixed else None for c in s.consts),
+                tuple(bisect_left(s.consts, c) for c in fixed))
 
     def pick(self, s):
         if not s.diagrams:
             raise DloError("cannot pick from an empty set")
-        env = s.diagrams[0].sample()
+        env = _uncell(s.diagrams[0], s.consts, self.obj_vars, self.arity + 1).sample()
         return tuple(env[v] for v in self.obj_vars)
 
     def instance_candidates(self, phi: PartitionedFormula, s=None):
         return self.witness_params(phi, s.consts if s is not None else ())
 
     def witness_params(self, phi: PartitionedFormula, extra=()):
-        """Every parameter tuple for phi over the grid of its constants and `extra`."""
-        grid = standard_grid(constants_of(phi.body) | set(extra))
-        k = len(phi.param_vars)
-        if len(grid) ** k > self.max_candidates:
-            raise BudgetExceededError("symbolic parameter grid too large")
-        return [tuple(p) for p in itertools.product(grid, repeat=k)]
+        """Every parameter tuple for phi over the grid of its constants and
+        `extra`, as a tuple kept per (phi, set of extra constants)."""
+        key = (phi, frozenset(extra))
+        if key not in self._grids:
+            consts = constants_of(phi.body)
+            self._fix(consts)
+            grid = standard_grid(consts | key[1])
+            k = len(phi.param_vars)
+            if len(grid) ** k > self.max_candidates:
+                raise BudgetExceededError("symbolic parameter grid too large")
+            self._grids[key] = tuple(itertools.product(grid, repeat=k))
+        return self._grids[key]
 
     def holds(self, phi: PartitionedFormula, obj, params):
-        body, _ = self._instance_body(phi, params)
-        env = dict(zip(self.obj_vars, (Fraction(v) for v in obj)))
-        return evaluate_q(body, env)
+        body, names, _ = self._instance_body(phi, params)
+        return evaluate_q(body, dict(names) | dict(zip(phi.obj_vars, map(Fraction, obj))))
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,8 @@ def check_mop_witness(w: PictureWitness, budget=None) -> MopReport:
     has O(n·|B|) entries, however many of the (|B|+1)^n multi-cuts are
     missing.
     """
+    if budget is not None and budget < 0:
+        raise MultiOrderError("the budget must be nonnegative")
     B = w.source
     phi = w.phi
     ctx = w.context()

@@ -163,6 +163,8 @@ class SearchResult:
 
 class _Budget:
     def __init__(self, limit):
+        if limit is not None and limit < 0:
+            raise PatternError("the budget must be nonnegative")
         self.limit = limit
         self.used = 0
         self.exhausted = False
@@ -290,6 +292,8 @@ def dp_rank_lower(context, base, pool, cap, length=3, witness_grid=None,
                   budget=None):
     """Largest depth <= cap at which a single-hit pattern is found; a lower
     bound for the dp-rank only."""
+    if cap < 0:
+        raise PatternError("the cap must be nonnegative")
     best = 0
     for depth in range(1, cap + 1):
         result = search_ict(context, base, pool, depth, length, witness_grid, budget)

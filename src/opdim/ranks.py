@@ -255,6 +255,8 @@ def gamma_consistent(context, subset, phi, n, beta, node_bound=4096):
 def op_dimension(context, subset, delta_pool, cap=6, max_n=8):
     """Largest n >= 1 whose n-rank hits the cap for some Delta in the pool;
     0 when no rank does (the stable case)."""
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
     best = 0
     for n in range(1, max_n + 1):
         hit = False

@@ -528,6 +528,11 @@ def bad_files(tmp_path, chain4_file):
     ("omin", "dim", "true", "-m", "-1"),
     ("ird", "dlo", "--pool", "x0 ; w : x0 < w", "--depth", "-1"),
     ("mo", "gen", "-n", "2", "--size", "-3"),
+    ("dprank", "dlo", "--pool", "x0 ; w : x0 < w", "--cap", "-1"),
+    ("opdim", "dlo", "--delta", "x0 ; y : x0 < y", "--max-n", "-1"),
+    ("ird", "dlo", "--pool", "x0 ; w : x0 < w", "--grid", "0,1", "--budget", "-1"),
+    ("ict", "dlo", "--pool", "x0 ; w : x0 = w", "--grid", "0,1", "--budget", "-1"),
+    ("mo", "moptest", "{abc}", "--budget", "-5"),
     # multi-orders with different numbers of orders
     ("mo", "amalgamate", "{pq}", "{rs}"),
     ("mo", "amalgamate", "{rs}", "{pq}"),

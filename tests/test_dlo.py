@@ -453,9 +453,20 @@ def test_context_candidate_budget():
     ctx = DloContext(1, max_candidates=10)
     phi = parse_partitioned(
         "x0 ; w0 w1 : 0 < w0 & w0 < x0 & x0 < w1 & w1 < 1")
-    # grid over constants {0, 1} has five points; 25 pairs exceed the cap
-    with pytest.raises(BudgetExceededError):
-        ctx.instance_candidates(phi)
+    # grid over constants {0, 1} has five points; 25 pairs exceed the cap,
+    # and a call that raised leaves nothing cached for the next one
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            ctx.instance_candidates(phi)
+
+
+def test_context_candidates_repeat_as_equal_tuples():
+    ctx = DloContext(1)
+    phi = parse_partitioned("x0 ; w : 0 < w & w < x0")
+    s = ctx.to_set(parse_formula("x0 < 1"))
+    first = ctx.instance_candidates(phi, s)
+    assert isinstance(first, tuple) and first == ctx.instance_candidates(phi, s)
+    assert ctx.witness_params(phi, s.consts) == first
 
 
 def test_context_sat_returns_witness():
@@ -467,19 +478,26 @@ def test_context_sat_returns_witness():
 
 
 def test_context_diagrams_agree_with_the_dnf_solver():
-    # the context's diagram algebra against sat_sample on the conjunction of
-    # the same signed instances, which solves by DNF and order graphs
+    # the context's cell algebra against sat_sample on the conjunction of
+    # the same signed instances, which solves by DNF and order graphs; a
+    # quantified instance enters in the qe_dlo form of its signed instance
     rng = random.Random(67)
     for case in range(300):
-        ctx = DloContext(rng.randint(1, 2))
+        ctx = DloContext(rng.randint(1, 3))
         consts = sorted({Q(rng.randint(-2, 2)) for _ in range(rng.randint(0, 2))})
         chain = []
         for _ in range(rng.randint(1, 4)):
-            body = random_qf_formula(rng, list(ctx.obj_vars) + ["w"], consts)
+            if rng.random() < 0.25:
+                sub = random_qf_formula(rng, list(ctx.obj_vars) + ["w", "z"], consts)
+                body = rng.choice((Exists, Forall))("z", sub)
+            else:
+                body = random_qf_formula(rng, list(ctx.obj_vars) + ["w"], consts)
             phi = PartitionedFormula(body, ctx.obj_vars, ("w",))
             param = Q(rng.randint(-3, 3), rng.choice((1, 2)))
             chain.append((phi, param, rng.randint(0, 1)))
         bodies = [signed(phi.instantiate((p,)), sign) for phi, p, sign in chain]
+        bodies = [qe_dlo(b) if isinstance(phi.body, (Exists, Forall)) else b
+                  for b, (phi, _, _) in zip(bodies, chain)]
         s = r = ctx.top()
         for phi, p, sign in chain:
             s = ctx.restrict(s, phi, (p,), sign)

@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdim import (
+    And, Atom, Eq, Not, Or, Rat, Var,
     BudgetExceededError, DloContext, FiniteContext, InconsistentTypeError,
     PartitionedFormula, RankQuery, RankValue, gamma_consistent, localized_opd,
     op_dimension, op_rank, parse_partitioned, qe_dlo, shelah_rank2,
@@ -134,6 +136,57 @@ def test_quantified_delta_ranks_as_its_quantifier_free_form(text):
         assert ranks[0] == ranks[1], (n, ranks)
     ranks = [shelah_rank2(RankQuery(ctx, ctx.top(), (f,), cap=4)) for f in (phi, free)]
     assert ranks[0] == ranks[1] and ranks[0].capped
+
+
+class ExactKeyDloContext(DloContext):
+    """The symbolic context with its memo keyed by the exact set: no two
+    distinct sets share a key, whatever automorphism relates them."""
+
+    def cache_key(self, s):
+        return (s.consts, frozenset(s.diagrams))
+
+
+def _random_one_parameter_body(rng, consts, depth=2):
+    if depth == 0 or rng.random() < 0.3:
+        terms = [Var("x0"), Var("y")] + [Rat(c) for c in consts]
+        a, b = rng.choice(terms), rng.choice(terms)
+        return Atom("<", (a, b)) if rng.random() < 0.7 else Eq(a, b)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Not(_random_one_parameter_body(rng, consts, depth - 1))
+    return (And if kind == 1 else Or)(_random_one_parameter_body(rng, consts, depth - 1),
+                                      _random_one_parameter_body(rng, consts, depth - 1))
+
+
+def _symbolic_ranks(ctx, body):
+    phi = PartitionedFormula(body, ("x0",), ("y",))
+    return ([op_rank(RankQuery(ctx, ctx.top(), (phi,), n=n, cap=4)) for n in (1, 2)]
+            + [shelah_rank2(RankQuery(ctx, ctx.top(), (phi,), cap=4))])
+
+
+def test_shape_memo_agrees_with_the_exact_memo():
+    # the memo keys a set up to the automorphisms fixing Delta's constants;
+    # keyed by the exact set instead, every rank must come out the same, and
+    # moving every constant by x -> 2x+3 must not change a rank either
+    rng = random.Random(20)
+    for case in range(200):
+        consts = sorted({Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+                         for _ in range(rng.randint(0, 2))})
+        seed = rng.random()
+        body = _random_one_parameter_body(random.Random(seed), consts)
+        moved = _random_one_parameter_body(random.Random(seed), [2 * c + 3 for c in consts])
+        want = _symbolic_ranks(ExactKeyDloContext(1), body)
+        assert _symbolic_ranks(DloContext(1), body) == want, (case, body)
+        assert _symbolic_ranks(DloContext(1), moved) == want, (case, moved)
+
+
+def test_shape_memo_fixes_delta_constants():
+    # instances split (0, oo) without end but hold nowhere below 0; a memo
+    # key blind to the constant 0 gives sets on either side of it one key,
+    # and answered exact 1 here
+    ctx = DloContext(1)
+    phi = parse_partitioned("x0 ; y : y < x0 & 0 < x0")
+    assert op_rank(RankQuery(ctx, ctx.top(), (phi,), cap=4)).to_json() == {"at_least": 4}
 
 
 # ---------------------------------------------------------------------------
