@@ -8,6 +8,7 @@ formula nested past Python's recursion limit).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -281,7 +282,10 @@ def _add_common(p, *, cap=True, grid=False, budget=False, length=False):
         p.add_argument("--length", type=int, default=3)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every later
+    call: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(prog="opdim")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -381,8 +385,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         result = args.run(args)

@@ -98,8 +98,14 @@ class FiniteContext(Context):
     def instance_candidates(self, phi: PartitionedFormula, s=None):
         return list(itertools.product(self.structure.universe, repeat=len(phi.param_vars)))
 
-    def holds(self, phi: PartitionedFormula, obj, params):
-        return evaluate(self.structure, phi.at(obj, params))
+    def traces(self, phi: PartitionedFormula, points, candidates):
+        """For each candidate b, in order and lazily, whether phi(p, b)
+        holds at each point p.  Only the points are evaluated: b's solution
+        mask would cost |universe|^arity evaluations however few they are."""
+        envs = [dict(zip(phi.obj_vars, p, strict=True)) for p in points]
+        for b in candidates:
+            inst = phi.instantiate(tuple(b))
+            yield [evaluate(self.structure, inst, env) for env in envs]
 
     def pick(self, s):
         """A canonical member of a nonempty set."""

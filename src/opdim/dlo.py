@@ -644,9 +644,24 @@ class DloContext(Context):
             self._grids[key] = tuple(itertools.product(grid, repeat=k))
         return self._grids[key]
 
-    def holds(self, phi: PartitionedFormula, obj, params):
-        body, names, _ = self._instance_body(phi, params)
-        return evaluate_q(body, dict(names) | dict(zip(phi.obj_vars, map(Fraction, obj))))
+    def traces(self, phi: PartitionedFormula, points, candidates):
+        """For each candidate b, in order and lazily, whether phi(p, b)
+        holds at each point p.  phi's constants, the points' coordinates
+        and the values of the candidates (a sequence: it is read twice) are
+        ranked once, and phi's lifted body (quantifiers eliminated first) is
+        decided on the ranks, as restrict decides atoms on positions."""
+        body = qe_dlo(phi.body) if _quantified(phi.body) else phi.body
+        consts = constants_of(body)
+        rank = {v: i for i, v in enumerate(sorted(consts.union(*points, *candidates)))}
+        lifted, env = _lift(body), {_cname(c): rank[c] for c in consts}
+        points = [tuple(zip(phi.obj_vars, (rank[v] for v in p), strict=True)) for p in points]
+        for b in candidates:
+            env.update(zip(phi.param_vars, (rank[v] for v in b), strict=True))
+            row = []
+            for p in points:
+                env.update(p)
+                row.append(evaluate_q(lifted, env))
+            yield row
 
 
 # ---------------------------------------------------------------------------

@@ -370,10 +370,10 @@ def check_mop_witness(w: PictureWitness, budget=None) -> MopReport:
     """For every multi-cut of the source, search parameters b_0..b_{n-1}
     with X_i = {a : phi(g(a), b_i)}.  The per-order searches are independent,
     so a multi-cut is definable iff each of its n sides is a trace, and the
-    report keeps, per order, the cut positions that are.  The cost is about
-    candidates·|B| `holds` calls and n·(|B|+1) trace lookups; the report
-    has O(n·|B|) entries, however many of the (|B|+1)^n multi-cuts are
-    missing.
+    report keeps, per order, the cut positions that are.  The cost is
+    candidates·|B| evaluations of phi (the context's `traces`; on Q they
+    compare integers) and n·(|B|+1) trace lookups; the report has O(n·|B|)
+    entries, however many of the (|B|+1)^n multi-cuts are missing.
     """
     if budget is not None and budget < 0:
         raise MultiOrderError("the budget must be nonnegative")
@@ -383,16 +383,16 @@ def check_mop_witness(w: PictureWitness, budget=None) -> MopReport:
     gmap = dict(w.point_map)
     extra = sorted({v for img in gmap.values() for v in img})
     candidates = ctx.witness_params(phi, extra=extra)
+    rows = ctx.traces(phi, [gmap[a] for a in B.universe], candidates)
     traces = set()
     used = 0
     status = "exhaustive"
-    for b in candidates:
+    for _ in candidates:
         if budget is not None and used + B.size > budget:
             status = "budget"
             break
-        trace = frozenset(a for a in B.universe if ctx.holds(phi, gmap[a], b))
+        traces.add(frozenset(itertools.compress(B.universe, next(rows))))
         used += B.size
-        traces.add(trace)
     cuts = tuple(tuple(c for c in range(B.size + 1) if frozenset(order[:c]) in traces)
                  for order in B.orders)
     return MopReport((B.size + 1) ** B.n, math.prod(map(len, cuts)), cuts, status)

@@ -194,8 +194,8 @@ def _witness_space(context, psi, witness_grid):
 
 def _search(context, base, pool, depth, length, witness_grid, budget_limit,
             constraints_of, pattern_cls):
-    if depth < 0:
-        raise PatternError("depth must be nonnegative")
+    if depth < 0 or length < 0:
+        raise PatternError("depth and length must be nonnegative")
     s = context.to_set(base)
     budget = _Budget(budget_limit)
 
@@ -340,7 +340,7 @@ def ird_from_alternation(context, base, realization, phi: PartitionedFormula,
     sign-adjusted so it holds on the later run, witnesses taken from the
     two adjacent run interiors.  Returns None when fewer than two runs."""
     params_seq = [tuple(p) for p in params_seq]
-    values = [context.holds(phi, tuple(realization), p) for p in params_seq]
+    values = [v for v, in context.traces(phi, [tuple(realization)], params_seq)]
     part = alternation(values)
     m = part.block_count
     if m < 2:

@@ -1,11 +1,15 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from opdim import structure_to_dict
+from opdim import cli, parse_partitioned, print_formula, qe_dlo, structure_to_dict
 from opdim.cli import main, make_report
 from opdim.multiorder import dump_multiorder, generate_generic, load_multiorder
 
@@ -392,6 +396,53 @@ def test_report_pinned(capsys, files, argv, want):
     assert doc[key] == value
 
 
+# ---------------------------------------------------------------------------
+# one argument parser per process
+
+
+PARSER_PROBE = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+import opdim.cli
+print(len(built), opdim.cli.build_parser.cache_info().currsize)
+"""
+
+
+def test_import_builds_no_parser():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", PARSER_PROBE], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.split() == ["0", "0"]
+
+
+def test_parser_is_built_once(capsys, chain4_file):
+    cli.build_parser.cache_clear()
+    for argv in (("omin", "dim", "x0 < x1", "-m", "2"), ("mo", "gen", "-n", "1", "--size", "3"),
+                 ("rank", chain4_file, "--delta", "x ; y : x < y")):
+        assert run(capsys, *argv)[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_parser_keeps_no_appended_values(capsys):
+    run_json(capsys, "rank", "dlo", "--delta", "x0 ; y : x0 < y", "--cap", "1")
+    code, doc, _ = run_json(capsys, "rank", "dlo", "--delta", "x0 ; y : y < x0", "--cap", "1")
+    assert code == 0 and doc["config"]["delta"] == ["x0 ; y : y < x0"]
+
+
+def test_parser_error_leaves_the_parser_usable(capsys):
+    cli.build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "dlo", "--cap", "x"])
+    assert exc.value.code == 2
+    argv, want = PINNED[2]
+    assert argv[:2] == ("rank", "dlo")
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0 and doc["hash"] == want["hash"]
+
+
 # The mo moptest reports as they were when `missing` listed every missing
 # multi-cut, before it became a count beside the per-order `cuts`.
 LISTED_MOPTEST = [
@@ -454,6 +505,20 @@ def test_quantified_formulas_on_dlo(capsys):
     code, doc, _ = run_json(capsys, "ird", "dlo", "--pool", "x0 ; w : exists z. x0 < z & z < w",
                             "--depth", "1", "--length", "2", "--grid", "0,1")
     assert code == 0 and doc["result"]["status"] == "found"
+
+
+@pytest.mark.parametrize("phi", ["x0 ; y : exists z. (x0 < z & z < y)",
+                                 "x0 ; y : forall z. (z < x0 | y < z | z < 1)",
+                                 "x0 ; y : exists z. (x0 < z & z < y & z < 2)"])
+def test_mo_moptest_quantified_phi_on_dlo(capsys, tmp_path, phi):
+    # the report is the report for the formula's quantifier-free form
+    path = tmp_path / "mo.json"
+    dump_multiorder(generate_generic(2, 6, seed=3), str(path))
+    code, doc, _ = run_json(capsys, "mo", "moptest", str(path), "--phi", phi)
+    assert code == 0
+    free = print_formula(qe_dlo(parse_partitioned(phi).body))
+    code, want, _ = run_json(capsys, "mo", "moptest", str(path), "--phi", f"x0 ; y : {free}")
+    assert code == 0 and doc["result"] == want["result"]
 
 
 def test_seed_belongs_to_mo_gen_only(capsys):
@@ -527,6 +592,8 @@ def bad_files(tmp_path, chain4_file):
     ("mo", "extcheck", "{abc}", "-k", "-1"),
     ("omin", "dim", "true", "-m", "-1"),
     ("ird", "dlo", "--pool", "x0 ; w : x0 < w", "--depth", "-1"),
+    ("ird", "dlo", "--pool", "x0 ; w : x0 < w", "--length", "-1", "--depth", "0"),
+    ("ict", "dlo", "--pool", "x0 ; w : x0 < w", "--length", "-1", "--depth", "0"),
     ("mo", "gen", "-n", "2", "--size", "-3"),
     ("dprank", "dlo", "--pool", "x0 ; w : x0 < w", "--cap", "-1"),
     ("opdim", "dlo", "--delta", "x0 ; y : x0 < y", "--max-n", "-1"),

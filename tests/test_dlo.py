@@ -16,9 +16,11 @@ from opdim import (
     satisfiable_q, standard_grid,
 )
 from opdim.dlo import constants_of, enumerate_diagrams
-from opdim.logic import PartitionedFormula, conj_all, free_vars, signed
+from opdim.logic import Elem, PartitionedFormula, conj_all, evaluate, free_vars, signed
 from opdim.patterns import check_ird
-from opdim.contexts import Constraint
+from opdim.contexts import Constraint, FiniteContext
+
+from conftest import chain, random_r_structure
 
 Q = Fraction
 
@@ -40,17 +42,17 @@ def assert_equivalent(f, g, count=1000, seed=0):
         assert evaluate_q(f, env) == evaluate_q(g, env), env
 
 
-def random_qf_formula(rng, variables, consts, depth=3):
+def random_qf_formula(rng, variables, consts, depth=3, rel="<", const=lambda c: Rat(Q(c))):
     if depth == 0 or rng.random() < 0.3:
-        terms = [Var(v) for v in variables] + [Rat(Q(c)) for c in consts]
+        terms = [Var(v) for v in variables] + [const(c) for c in consts]
         a, b = rng.choice(terms), rng.choice(terms)
-        return Atom("<", (a, b)) if rng.random() < 0.7 else Eq(a, b)
+        return Atom(rel, (a, b)) if rng.random() < 0.7 else Eq(a, b)
     kind = rng.randrange(3)
     if kind == 0:
-        return Not(random_qf_formula(rng, variables, consts, depth - 1))
+        return Not(random_qf_formula(rng, variables, consts, depth - 1, rel, const))
     cls = And if kind == 1 else Or
-    return cls(random_qf_formula(rng, variables, consts, depth - 1),
-               random_qf_formula(rng, variables, consts, depth - 1))
+    return cls(random_qf_formula(rng, variables, consts, depth - 1, rel, const),
+               random_qf_formula(rng, variables, consts, depth - 1, rel, const))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +513,39 @@ def test_context_diagrams_agree_with_the_dnf_solver():
 
 
 def test_context_holds():
-    ctx = DloContext(1)
+    # phi.at read over Q: the evaluation the traces tests below compare against
     lt = parse_partitioned("x0 ; w : x0 < w")
-    assert ctx.holds(lt, (Q(0),), (Q(1),))
-    assert not ctx.holds(lt, (Q(1),), (Q(0),))
+    assert evaluate_q(lt.at((Q(0),), (Q(1),)))
+    assert not evaluate_q(lt.at((Q(1),), (Q(0),)))
+
+
+def test_context_traces_agree_with_evaluation():
+    """Each context's traces against phi.at(p, b) read independently:
+    evaluate_q over Q, logic.evaluate on finite chains and R-structures.
+    Points and candidate values are drawn from one small pool that holds
+    phi's constants, so they often equal a constant or each other."""
+    rng = random.Random(4242)
+    for case in range(300):
+        params = ("w", "z")[:rng.randint(0, 2)]
+        if case % 4 < 2:
+            ctx = DloContext(case % 4 + 1)
+            obj_vars = ctx.obj_vars
+            consts = [Q(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(rng.randint(0, 2))]
+            body = random_qf_formula(rng, obj_vars + params, consts)
+            pool = sorted(set(consts) | {Q(v, 2) for v in range(-5, 6)})
+            reference = evaluate_q
+        else:
+            host = chain(5) if case % 4 == 2 else random_r_structure(rng, 4)
+            ctx = FiniteContext(host)
+            obj_vars = ("x", "y")[:rng.randint(1, 2)]
+            consts = rng.sample(host.universe, rng.randint(0, 2))
+            body = random_qf_formula(rng, obj_vars + params, consts,
+                                     rel="<" if case % 4 == 2 else "R", const=Elem)
+            pool = host.universe
+            reference = lambda f, host=host: evaluate(host, f)
+        phi = PartitionedFormula(body, obj_vars, params)
+        candidates = [tuple(rng.choice(pool) for _ in params) for _ in range(rng.randint(0, 4))]
+        points = [tuple(rng.choice(pool) for _ in obj_vars) for _ in range(rng.randint(0, 6))]
+        got = [[bool(v) for v in row] for row in ctx.traces(phi, points, candidates)]
+        want = [[reference(phi.at(p, b)) for p in points] for b in candidates]
+        assert got == want, (case, body, points, candidates)

@@ -7,8 +7,8 @@ import pytest
 from opdim import (
     BudgetExceededError, DloContext, Embedding, ExtensionSpec, MultiCut,
     MultiOrder, MultiOrderError, PictureWitness, amalgamate,
-    check_embedding, check_mop_witness, enumerate_multicuts,
-    extension_property_level, generate_generic, grid_embed, linearize_grid,
+    check_embedding, check_mop_witness, enumerate_multicuts, evaluate,
+    evaluate_q, extension_property_level, generate_generic, grid_embed, linearize_grid,
     multiorder_from_dict, multiorder_to_dict, one_point_extend,
     pairwise_comparable, parse_partitioned, validate,
 )
@@ -367,13 +367,14 @@ def reference_mop(w, budget=None):
     parameter tuple.  Returns the multi-cut count, the set of definable
     multi-cuts (as position tuples) and the status."""
     B, ctx, gmap = w.source, w.context(), dict(w.point_map)
+    holds = evaluate_q if isinstance(ctx, DloContext) else lambda f: evaluate(ctx.structure, f)
     extra = sorted({v for img in gmap.values() for v in img})
     traces, used, status = set(), 0, "exhaustive"
     for b in ctx.witness_params(w.phi, extra=extra):
         if budget is not None and used + B.size > budget:
             status = "budget"
             break
-        traces.add(frozenset(a for a in B.universe if ctx.holds(w.phi, gmap[a], b)))
+        traces.add(frozenset(a for a in B.universe if holds(w.phi.at(gmap[a], b))))
         used += B.size
     definable = {z.cuts for z in enumerate_multicuts(B)
                  if all(x in traces for x in multicut_sets(B, z))}

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from opdim import (
     And, BudgetExceededError, DLO_SIGNATURE, DloContext, FiniteContext, ICTPattern,
     IRDPattern, Imp, Not, PatternError, RankQuery, alternation, check_ict,
-    check_ird, dp_rank_lower, ird_from_alternation, ird_to_ict,
+    check_ird, dp_rank_lower, evaluate, ird_from_alternation, ird_to_ict,
     parse_partitioned, search_ict, search_ird, shelah_rank2,
 )
 from opdim.logic import parity_combine
@@ -330,14 +330,13 @@ def test_parity_staircase_block_count():
     # flipping coordinates of a parity combination across the cut one at a
     # time flips the truth value each step: n flips give n+1 runs
     m = chain(6)
-    ctx = FiniteContext(m)
     lt = parse_partitioned("x ; y : x < y")
     for n in (2, 3):
         psi = parity_combine(lt, n)
         a, below, above = 2, 0, 5
         seq = [tuple(above if i < k else below for i in range(n))
                for k in range(n + 1)]
-        values = [ctx.holds(psi, (a,), p) for p in seq]
+        values = [evaluate(m, psi.at((a,), p)) for p in seq]
         assert alternation(values).block_count == n + 1
 
 
