@@ -6,7 +6,10 @@ runs over the dense order unchanged.  The context holds a set as integer
 cells (see `DloSet`): with k variables, the constant of rank i sits at
 (i+1)(k+1) and the j-th variable block of the gap below it at i(k+1)+j, so
 its rank memo keys a set by its shape, up to the automorphisms fixing the
-formulas' constants.  ``sat_sample`` is an independent exact-rational
+formulas' constants.  A restrict computes both sign cells in one pass and
+keeps them in the context's partition memo, keyed by (set, formula,
+parameters), so a repeated or opposite-sign restrict is a lookup; the memo
+lives as long as the context.  ``sat_sample`` is an independent exact-rational
 satisfiability solver (DNF and order graphs), the tests' reference.
 
 All arithmetic is exact (fractions.Fraction); no floating point anywhere.
@@ -513,6 +516,15 @@ class DloSet:
     consts: tuple
     diagrams: tuple
 
+    def __hash__(self):
+        # hashing the Fraction constants is hot in restrict's partition memo; cache it
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.consts, self.diagrams))
+            object.__setattr__(self, "_hash", h)
+            return h
+
 
 def _cell(diagram, variables, stride):
     """The integer form (see DloSet) of an order diagram; stride is k+1."""
@@ -545,7 +557,13 @@ def _split(cell, r, stride):
 
 
 class DloContext(Context):
-    """Exposes the finite-context interface over the symbolic dense order."""
+    """Exposes the finite-context interface over the symbolic dense order.
+
+    A context keeps what it computes for the life of the object: instance
+    bodies per (phi, params), candidate grids per (phi, extra constants),
+    and the partition memo, which holds for each (set, phi, params) that
+    restrict has seen the set's two sign cells.  Make a new context to drop
+    them."""
 
     def __init__(self, num_vars=1, max_candidates=4096):
         self.obj_vars = _coord_vars(num_vars)
@@ -554,6 +572,7 @@ class DloContext(Context):
         self._bodies = {}  # (phi, params) -> lifted instance body, sorted (name, constant)s
         self._grids = {}   # (phi, extra constants) -> the candidate parameter tuples
         self._fixed = ()   # the sorted constants of every formula asked about
+        self._splits = {}  # (set, phi, params) -> the set's two sign cells, see restrict
 
     def _set(self, consts, diagrams):
         return DloSet(consts, tuple(_cell(d, self.obj_vars, self.arity + 1) for d in diagrams))
@@ -586,24 +605,35 @@ class DloContext(Context):
         return self._bodies[key]
 
     def restrict(self, s, phi, params, sign):
-        body, names, quantified = self._instance_body(phi, params)
+        key = (s, phi, tuple(params))
+        halves = self._splits.get(key)
+        if halves is None:
+            body = self._instance_body(phi, params)
+            halves = self._splits[key] = self._partition(s, phi.obj_vars, *body)
+        return halves[1 if sign else 0]
+
+    def _partition(self, s, variables, body, names, quantified):
+        """The cells of s refined by the body's new constants, split into
+        (where the body fails, where it holds); the body's object variables
+        are `variables`."""
         stride, consts, cells = self.arity + 1, list(s.consts), s.diagrams
-        for _, c in names:
-            r = bisect_left(consts, c)
+        env, r = {}, 0
+        for name, c in names:
+            # names are sorted, so a later insertion never moves an earlier rank
+            r = bisect_left(consts, c, r)
             if r == len(consts) or consts[r] != c:
                 consts.insert(r, c)
                 cells = [e for cell in cells for e in _split(cell, r, stride)]
+            env[name] = (r + 1) * stride
         consts = tuple(consts)
-        env = {name: (bisect_left(consts, c) + 1) * stride for name, c in names}
-        memo, keep, want = {}, [], bool(sign)
+        memo, halves = {}, ([], [])
         for cell in cells:
-            env.update(zip(phi.obj_vars, cell))
+            env.update(zip(variables, cell))
             # only a quantifier needs the cell's diagram
-            holds = (_holds(body, _uncell(cell, consts, phi.obj_vars, stride).project, env, memo)
+            holds = (_holds(body, _uncell(cell, consts, variables, stride).project, env, memo)
                      if quantified else evaluate_q(body, env))
-            if holds == want:
-                keep.append(cell)
-        return DloSet(consts, tuple(keep))
+            halves[holds].append(cell)
+        return DloSet(consts, tuple(halves[0])), DloSet(consts, tuple(halves[1]))
 
     def is_empty(self, s):
         return not s.diagrams
@@ -676,6 +706,8 @@ def ird_witness_from_dim(f, m, length=3):
     sets."""
     from .patterns import IRDPattern, check_ird
 
+    if length < 0:
+        raise DloError("the pattern length must be nonnegative")
     report = dimension(f, m, method="projection")
     if report.empty or report.dimension == 0:
         return None

@@ -594,6 +594,7 @@ def bad_files(tmp_path, chain4_file):
     ("ird", "dlo", "--pool", "x0 ; w : x0 < w", "--depth", "-1"),
     ("ird", "dlo", "--pool", "x0 ; w : x0 < w", "--length", "-1", "--depth", "0"),
     ("ict", "dlo", "--pool", "x0 ; w : x0 < w", "--length", "-1", "--depth", "0"),
+    ("omin", "irdwitness", "x0 < 1", "-m", "1", "--length", "-1"),
     ("mo", "gen", "-n", "2", "--size", "-3"),
     ("dprank", "dlo", "--pool", "x0 ; w : x0 < w", "--cap", "-1"),
     ("opdim", "dlo", "--delta", "x0 ; y : x0 < y", "--max-n", "-1"),
@@ -608,6 +609,13 @@ def bad_files(tmp_path, chain4_file):
 def test_input_error_exits_2(capsys, bad_files, argv):
     code, out, err = run(capsys, *(a.format(**bad_files) for a in argv))
     assert code == 2 and out == "" and err.startswith("error (input): ")
+
+
+def test_irdwitness_names_a_negative_length(capsys):
+    code, _, err = run(capsys, "omin", "irdwitness", "x0 < 1", "-m", "1", "--length", "-1")
+    assert code == 2 and "the pattern length must be nonnegative" in err
+    code, _, err = run(capsys, "omin", "irdwitness", "x0 < 1", "-m", "1", "--length", "0")
+    assert code == 2 and "a pattern with formulas needs witnesses" in err
 
 
 def test_mo_moptest_host_labels_name_elements(capsys, tmp_path, chain4_file):

@@ -15,7 +15,9 @@ from opdim import (
     parse_formula, parse_partitioned, product, qe_dlo, sat_sample,
     satisfiable_q, standard_grid,
 )
-from opdim.dlo import constants_of, enumerate_diagrams
+from opdim import dlo
+from opdim.dlo import DloSet, OrderDiagram, _cell, constants_of, enumerate_diagrams
+from opdim.ranks import RankQuery, gamma_consistent, op_rank, shelah_rank2
 from opdim.logic import Elem, PartitionedFormula, conj_all, evaluate, free_vars, signed
 from opdim.patterns import check_ird
 from opdim.contexts import Constraint, FiniteContext
@@ -479,6 +481,24 @@ def test_context_sat_returns_witness():
     assert got is not None and Q(-1) <= got[0] < Q(0)
 
 
+def random_restrict_chain(rng, ctx):
+    """One to four signed instances (phi, parameter, sign) of random bodies
+    over the context's variables and the parameter w; about a quarter of the
+    bodies quantify a further variable z."""
+    consts = sorted({Q(rng.randint(-2, 2)) for _ in range(rng.randint(0, 2))})
+    chain = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.25:
+            sub = random_qf_formula(rng, list(ctx.obj_vars) + ["w", "z"], consts)
+            body = rng.choice((Exists, Forall))("z", sub)
+        else:
+            body = random_qf_formula(rng, list(ctx.obj_vars) + ["w"], consts)
+        phi = PartitionedFormula(body, ctx.obj_vars, ("w",))
+        param = Q(rng.randint(-3, 3), rng.choice((1, 2)))
+        chain.append((phi, param, rng.randint(0, 1)))
+    return chain
+
+
 def test_context_diagrams_agree_with_the_dnf_solver():
     # the context's cell algebra against sat_sample on the conjunction of
     # the same signed instances, which solves by DNF and order graphs; a
@@ -486,17 +506,7 @@ def test_context_diagrams_agree_with_the_dnf_solver():
     rng = random.Random(67)
     for case in range(300):
         ctx = DloContext(rng.randint(1, 3))
-        consts = sorted({Q(rng.randint(-2, 2)) for _ in range(rng.randint(0, 2))})
-        chain = []
-        for _ in range(rng.randint(1, 4)):
-            if rng.random() < 0.25:
-                sub = random_qf_formula(rng, list(ctx.obj_vars) + ["w", "z"], consts)
-                body = rng.choice((Exists, Forall))("z", sub)
-            else:
-                body = random_qf_formula(rng, list(ctx.obj_vars) + ["w"], consts)
-            phi = PartitionedFormula(body, ctx.obj_vars, ("w",))
-            param = Q(rng.randint(-3, 3), rng.choice((1, 2)))
-            chain.append((phi, param, rng.randint(0, 1)))
+        chain = random_restrict_chain(rng, ctx)
         bodies = [signed(phi.instantiate((p,)), sign) for phi, p, sign in chain]
         bodies = [qe_dlo(b) if isinstance(phi.body, (Exists, Forall)) else b
                   for b, (phi, _, _) in zip(bodies, chain)]
@@ -510,6 +520,98 @@ def test_context_diagrams_agree_with_the_dnf_solver():
         if not ctx.is_empty(s):
             env = dict(zip(ctx.obj_vars, ctx.pick(s)))
             assert all(evaluate_q(b, env) for b in bodies), (case, bodies, env)
+
+
+def refined_cells(s, consts, variables):
+    """The integer cells over `consts`, a superset of s.consts, whose
+    diagrams lie in s: those that land on a cell of s once the constants
+    outside s.consts are forgotten."""
+    stride, old, cells = len(variables) + 1, set(s.consts), set(s.diagrams)
+    out = set()
+    for d in enumerate_diagrams(variables, consts):
+        coarse = OrderDiagram(tuple((vs, c if c in old else None)
+                                    for vs, c in d.blocks if vs or c in old))
+        if _cell(coarse, variables, stride) in cells:
+            out.add(_cell(d, variables, stride))
+    return out
+
+
+def test_restrict_memo_answers_as_a_fresh_context():
+    # a warm context answers every restrict below from its partition memo:
+    # each answer equals a fresh context's and hashes equal to it, and the
+    # two signs split the cells of the set over the merged constants, the
+    # positive half holding the cells order_diagrams finds in the instance
+    rng = random.Random(71)
+    for case in range(100):
+        warm = DloContext(rng.randint(1, 3))
+        chain = random_restrict_chain(rng, warm)
+        orders = (chain, chain[::-1])
+        for order in orders:  # warm up: every step of both orders, both signs
+            s = warm.top()
+            for phi, p, sign in order:
+                warm.restrict(s, phi, (p,), 1 - sign)
+                s = warm.restrict(s, phi, (p,), sign)
+        for order in orders:
+            s = warm.top()
+            for phi, p, sign in order:
+                halves = [warm.restrict(s, phi, (p,), b) for b in (0, 1)]
+                for b, half in enumerate(halves):
+                    fresh = DloContext(warm.arity).restrict(s, phi, (p,), b)
+                    assert half == fresh and hash(half) == hash(fresh), (case, b)
+                    assert hash(DloSet(half.consts, half.diagrams)) == hash(half)
+                    assert warm.restrict(s, phi, (p,), b) is half
+                neg, pos = halves
+                assert neg.consts == pos.consts and set(s.consts) <= set(pos.consts)
+                assert not set(neg.diagrams) & set(pos.diagrams), case
+                assert len(set(neg.diagrams)) + len(set(pos.diagrams)) == \
+                    len(neg.diagrams) + len(pos.diagrams), case
+                refined = refined_cells(s, pos.consts, warm.obj_vars)
+                assert set(neg.diagrams) | set(pos.diagrams) == refined, case
+                stride = warm.arity + 1
+                holds = {_cell(d, warm.obj_vars, stride) for d in order_diagrams(
+                    phi.instantiate((p,)), warm.obj_vars, pos.consts)}
+                assert set(pos.diagrams) == refined & holds, case
+                s = halves[sign]
+
+
+def test_restrict_refines_and_evaluates_once_per_instance(monkeypatch):
+    ctx = DloContext(2)
+    s = ctx.to_set(parse_formula("x0 < x1 | x1 = 1"))
+    phi = parse_partitioned("x0 x1 ; w : x0 < w")  # an atom: evaluate_q does not recurse
+    calls = dict.fromkeys(("_split", "evaluate_q"), 0)
+    for name in calls:
+        def counted(*args, real=getattr(dlo, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(dlo, name, counted)
+    pos, neg, again = (ctx.restrict(s, phi, (Q(1, 2),), sign) for sign in (1, 0, 1))
+    assert again is pos and neg.consts == pos.consts == (Q(1, 2), Q(1))
+    # one new constant: each cell of s is split once, each refined cell decided once
+    assert calls == {"_split": len(s.diagrams),
+                     "evaluate_q": len(neg.diagrams) + len(pos.diagrams)}
+
+
+# The one-variable formulas of the benchmark's dlo-rank workload, c0 = 1/3.
+DLO_RANK_FORMULAS = (
+    "x0 ; y : x0 < y", "x0 ; y : x0 = y", "x0 ; y : y < x0 & x0 < 1/3",
+    "x0 ; y : x0 < y | x0 = 1/3", "x0 ; y : 1/3 < x0 & x0 < y",
+    "x0 ; y : x0 = y | x0 = 1/3", "x0 ; y z : y < x0 & x0 < z",
+    "x0 ; y z : x0 < y | z < x0", "x0 ; y z : x0 = y | x0 = z",
+)
+
+
+def test_ranks_on_a_shared_context_match_fresh_contexts():
+    # one warm context carries every earlier query's bodies, grids and splits
+    warm = DloContext(1)
+    for text in DLO_RANK_FORMULAS:
+        phi = parse_partitioned(text)
+        for cap in range(4, 9):
+            for engine in (op_rank, shelah_rank2):
+                rank = lambda ctx: engine(RankQuery(ctx, ctx.top(), (phi,), cap=cap))
+                assert rank(warm) == rank(DloContext(1)), (text, cap, engine.__name__)
+        for n, beta in ((1, 2), (2, 1)) if len(phi.param_vars) == 1 else ((1, 2),):
+            gamma = lambda ctx: gamma_consistent(ctx, ctx.top(), phi, n, beta)
+            assert gamma(warm) == gamma(DloContext(1)), (text, n, beta)
 
 
 def test_context_holds():
