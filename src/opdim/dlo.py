@@ -9,8 +9,13 @@ its rank memo keys a set by its shape, up to the automorphisms fixing the
 formulas' constants.  A restrict computes both sign cells in one pass and
 keeps them in the context's partition memo, keyed by (set, formula,
 parameters), so a repeated or opposite-sign restrict is a lookup; the memo
-lives as long as the context.  ``sat_sample`` is an independent exact-rational
-satisfiability solver (DNF and order graphs), the tests' reference.
+lives as long as the context.  Restricts only ever add constants, so the
+rank memo's key and a node's candidate grid read the set's normal form
+(`DloSet.normal_form`): the same set over only the constants it depends on,
+computed lazily and cached on the set.  Restrict, its memo, emptiness, sat
+and pick work on the set as given, so the pattern checks never pay for it.
+``sat_sample`` is an independent exact-rational satisfiability solver (DNF
+and order graphs), the tests' reference.
 
 All arithmetic is exact (fractions.Fraction); no floating point anywhere.
 """
@@ -525,6 +530,29 @@ class DloSet:
             object.__setattr__(self, "_hash", h)
             return h
 
+    def normal_form(self):
+        """The same subset of (Q,<)^k over only the constants it depends on
+        (cached, like the hash).  From the top rank down, c_r goes when
+        splitting the cells merged across it (see `_merge`) by c_r gives back
+        exactly the cells: as a merged cell with b blocks in gap r splits into
+        2b+1, that is a count.  Dropping a constant never makes a lower one
+        droppable that was not, so one pass finds the least constant set."""
+        try:
+            return self._normal
+        except AttributeError:
+            pass
+        consts, cells = self.consts, self.diagrams
+        stride = len(cells[0]) + 1 if cells else 1
+        for r in reversed(range(len(consts))):
+            lo, hi = r * stride, (r + 1) * stride
+            merged = dict.fromkeys(_merge(cell, r, stride) for cell in cells)
+            if len(cells) == sum(2 * max((q - lo for q in m if lo < q < hi), default=0) + 1
+                                 for m in merged):
+                consts, cells = consts[:r] + consts[r + 1:], tuple(merged)
+        normal = self if consts is self.consts else DloSet(consts, cells)
+        object.__setattr__(self, "_normal", normal)
+        return normal
+
 
 def _cell(diagram, variables, stride):
     """The integer form (see DloSet) of an order diagram; stride is k+1."""
@@ -541,6 +569,43 @@ def _uncell(cell, consts, variables, stride):
     return OrderDiagram(tuple(
         (frozenset(v for v, q in zip(variables, cell) if q == p),
          None if p % stride else consts[p // stride - 1]) for p in places))
+
+
+def _merge(cell, r, stride):
+    """The cell with the constant of rank r dropped, the inverse of `_split`:
+    the constant's block, if a variable sits on it, follows the t blocks of
+    gap r, and the blocks of gap r+1 follow it; every position above gap r+1
+    moves down one gap."""
+    lo, at = r * stride, (r + 1) * stride
+    d = max((q - lo for q in cell if lo < q < at), default=0) + (at in cell)
+    return tuple(q if q < at else q - stride + d if q < at + stride else q - stride
+                 for q in cell)
+
+
+def _point(cell, consts, stride):
+    """The point `_uncell(cell, consts, ...).sample()` gives, read off the
+    positions: c_i at a constant's; the j-th of b blocks in gap g at
+    c_{g-1} + (c_g - c_{g-1}) j/(b+1) between two constants, c_0 - (b+1-j)
+    below them, c_last + j above them, and j - 1 when there are none."""
+    blocks = {}
+    for q in cell:
+        g, j = divmod(q, stride)
+        blocks[g] = max(blocks.get(g, 0), j)
+    point = []
+    for q in cell:
+        g, j = divmod(q, stride)
+        if not j:
+            point.append(consts[g - 1])
+        elif not consts:
+            point.append(Fraction(j - 1))
+        elif g == 0:
+            point.append(consts[0] - (blocks[0] + 1 - j))
+        elif g == len(consts):
+            point.append(consts[-1] + j)
+        else:
+            lo, hi = consts[g - 1], consts[g]
+            point.append(lo + (hi - lo) * Fraction(j, blocks[g] + 1))
+    return tuple(point)
 
 
 def _split(cell, r, stride):
@@ -563,7 +628,10 @@ class DloContext(Context):
     bodies per (phi, params), candidate grids per (phi, extra constants),
     and the partition memo, which holds for each (set, phi, params) that
     restrict has seen the set's two sign cells.  Make a new context to drop
-    them."""
+    them.  `cache_key` and `instance_candidates` read a set through its
+    normal form, so a constant the set does not depend on neither splits
+    its key nor adds points to its grid; everything else takes the set as
+    given."""
 
     def __init__(self, num_vars=1, max_candidates=4096):
         self.obj_vars = _coord_vars(num_vars)
@@ -643,22 +711,22 @@ class DloContext(Context):
 
     def cache_key(self, s):
         """Equal for two sets when an order automorphism fixing the constants
-        of every formula asked about carries one onto the other: the cells;
-        the fixed constants of the set by value; where each fixed constant
-        falls among the set's.  Sound for the rank memo, as a node's
-        candidates are one point per gap of Delta's constants and the set's."""
-        fixed = self._fixed
+        of every formula asked about carries one's normal form onto the
+        other's: the cells; the fixed constants of the set by value; where
+        each fixed constant falls among the set's.  Sound for the rank memo,
+        as a node's candidates are one point per gap of Delta's constants
+        and the normal form's, and the set is a union of cells over those."""
+        fixed, s = self._fixed, s.normal_form()
         return (frozenset(s.diagrams), tuple(c if c in fixed else None for c in s.consts),
                 tuple(bisect_left(s.consts, c) for c in fixed))
 
     def pick(self, s):
         if not s.diagrams:
             raise DloError("cannot pick from an empty set")
-        env = _uncell(s.diagrams[0], s.consts, self.obj_vars, self.arity + 1).sample()
-        return tuple(env[v] for v in self.obj_vars)
+        return _point(s.diagrams[0], s.consts, self.arity + 1)
 
     def instance_candidates(self, phi: PartitionedFormula, s=None):
-        return self.witness_params(phi, s.consts if s is not None else ())
+        return self.witness_params(phi, s.normal_form().consts if s is not None else ())
 
     def witness_params(self, phi: PartitionedFormula, extra=()):
         """Every parameter tuple for phi over the grid of its constants and
@@ -670,7 +738,9 @@ class DloContext(Context):
             grid = standard_grid(consts | key[1])
             k = len(phi.param_vars)
             if len(grid) ** k > self.max_candidates:
-                raise BudgetExceededError("symbolic parameter grid too large")
+                raise BudgetExceededError(
+                    f"symbolic parameter grid too large: {len(grid)} points ^ {k} parameters"
+                    f" = {len(grid) ** k} tuples exceeds max_candidates {self.max_candidates}")
             self._grids[key] = tuple(itertools.product(grid, repeat=k))
         return self._grids[key]
 

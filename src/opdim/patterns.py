@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from .contexts import BudgetExceededError, Constraint
 from .logic import And, Imp, Not, PartitionedFormula, rename_vars
+from .ranks import InconsistentTypeError
 
 SELECTOR_BOUND = 10 ** 6
 
@@ -294,6 +295,9 @@ def dp_rank_lower(context, base, pool, cap, length=3, witness_grid=None,
     bound for the dp-rank only."""
     if cap < 0:
         raise PatternError("the cap must be nonnegative")
+    if context.is_empty(context.to_set(base)):
+        # every selector fails on an empty base, which would read as dp-rank 0
+        raise InconsistentTypeError("the base type has no realizations")
     best = 0
     for depth in range(1, cap + 1):
         result = search_ict(context, base, pool, depth, length, witness_grid, budget)

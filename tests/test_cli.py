@@ -597,6 +597,9 @@ def bad_files(tmp_path, chain4_file):
     ("omin", "irdwitness", "x0 < 1", "-m", "1", "--length", "-1"),
     ("mo", "gen", "-n", "2", "--size", "-3"),
     ("dprank", "dlo", "--pool", "x0 ; w : x0 < w", "--cap", "-1"),
+    # an empty base, as rank and opdim reject it
+    ("dprank", "dlo", "--pool", "x0 ; y : x0 < y", "--subset", "x0 ; : x0 < 1 & 2 < x0",
+     "--grid", "1,2"),
     ("opdim", "dlo", "--delta", "x0 ; y : x0 < y", "--max-n", "-1"),
     ("ird", "dlo", "--pool", "x0 ; w : x0 < w", "--grid", "0,1", "--budget", "-1"),
     ("ict", "dlo", "--pool", "x0 ; w : x0 = w", "--grid", "0,1", "--budget", "-1"),
@@ -609,6 +612,14 @@ def bad_files(tmp_path, chain4_file):
 def test_input_error_exits_2(capsys, bad_files, argv):
     code, out, err = run(capsys, *(a.format(**bad_files) for a in argv))
     assert code == 2 and out == "" and err.startswith("error (input): ")
+
+
+def test_symbolic_grid_budget_names_its_sizes(capsys):
+    # constants 1..4 give a 9-point grid, and 5 parameters 9^5 tuples
+    code, out, err = run(capsys, "rank", "dlo", "--delta",
+                         "x0 ; a b c d e : x0 < a & 1 < b & 2 < c & 3 < d & 4 < e", "--cap", "2")
+    assert code == 3 and out == ""
+    assert "9 points ^ 5 parameters = 59049 tuples exceeds max_candidates 4096" in err
 
 
 def test_irdwitness_names_a_negative_length(capsys):

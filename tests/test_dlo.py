@@ -16,7 +16,7 @@ from opdim import (
     satisfiable_q, standard_grid,
 )
 from opdim import dlo
-from opdim.dlo import DloSet, OrderDiagram, _cell, constants_of, enumerate_diagrams
+from opdim.dlo import DloSet, OrderDiagram, _cell, _uncell, constants_of, enumerate_diagrams
 from opdim.ranks import RankQuery, gamma_consistent, op_rank, shelah_rank2
 from opdim.logic import Elem, PartitionedFormula, conj_all, evaluate, free_vars, signed
 from opdim.patterns import check_ird
@@ -589,6 +589,68 @@ def test_restrict_refines_and_evaluates_once_per_instance(monkeypatch):
     # one new constant: each cell of s is split once, each refined cell decided once
     assert calls == {"_split": len(s.diagrams),
                      "evaluate_q": len(neg.diagrams) + len(pos.diagrams)}
+
+
+def coarsened(s, consts, variables):
+    """The integer cells over `consts`, a subset of s.consts, of the diagrams
+    of s with the other constants forgotten."""
+    stride, keep = len(variables) + 1, set(consts)
+    return {_cell(OrderDiagram(tuple((vs, c if c in keep else None)
+                                     for vs, c in _uncell(cell, s.consts, variables,
+                                                          stride).blocks
+                                     if vs or c in keep)), variables, stride)
+            for cell in s.diagrams}
+
+
+def test_normal_form_keeps_exactly_the_constants_a_set_depends_on():
+    # on restrict chains: the normal form refined by the dropped constants
+    # gives back the set's cells, forgetting any kept constant alone gives a
+    # larger set, and normalizing again changes nothing
+    rng = random.Random(73)
+    dropped = 0
+    for case in range(150):
+        ctx = DloContext(rng.randint(1, 3))
+        s = ctx.top()
+        for phi, p, sign in random_restrict_chain(rng, ctx):
+            s = ctx.restrict(s, phi, (p,), sign)
+            n = s.normal_form()
+            assert n is s.normal_form() and set(n.consts) <= set(s.consts), case
+            dropped += len(s.consts) - len(n.consts)
+            if not s.diagrams:
+                assert n == DloSet((), ()), case
+                continue
+            assert refined_cells(n, s.consts, ctx.obj_vars) == set(s.diagrams), case
+            for c in n.consts:
+                kept = tuple(x for x in n.consts if x != c)
+                coarse = DloSet(kept, tuple(coarsened(n, kept, ctx.obj_vars)))
+                assert refined_cells(coarse, n.consts, ctx.obj_vars) != set(n.diagrams), \
+                    (case, c)
+            again = DloSet(n.consts, n.diagrams).normal_form()
+            assert again == n and again.diagrams == n.diagrams, case
+    assert dropped > 100  # the chains do exercise the dropping
+
+
+def test_normal_form_of_the_empty_set_and_of_a_constant_free_set():
+    ctx = DloContext(2)
+    assert DloSet((Q(0), Q(1)), ()).normal_form() == DloSet((), ())
+    s = ctx.to_set(parse_formula("x0 < x1 | x0 = x1 | x1 < x0 | x0 = 0"))
+    assert s.consts == (Q(0),) and s.normal_form() == ctx.top()
+
+
+def test_pick_is_the_sample_of_the_first_cell():
+    # pick reads the point off the cell's positions; it must be exactly the
+    # point the cell's order diagram samples
+    rng = random.Random(79)
+    for k in (1, 2, 3):
+        ctx = DloContext(k)
+        for _ in range(12):
+            consts = tuple(sorted({Q(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                                   for _ in range(rng.randint(0, 3))}))
+            for d in enumerate_diagrams(ctx.obj_vars, consts):
+                cell = _cell(d, ctx.obj_vars, k + 1)
+                env = _uncell(cell, consts, ctx.obj_vars, k + 1).sample()
+                want = tuple(env[v] for v in ctx.obj_vars)
+                assert ctx.pick(DloSet(consts, (cell,))) == want, (consts, d)
 
 
 # The one-variable formulas of the benchmark's dlo-rank workload, c0 = 1/3.

@@ -13,6 +13,7 @@ from opdim import (
     op_dimension, op_rank, parse_partitioned, qe_dlo, shelah_rank2,
 )
 from opdim.contexts import FinSet
+from opdim.ranks import _RankEngine, _capped_rank
 from opdim.logic import DefinableSubset
 
 from conftest import R_SIG, chain, equality_structure, grid_2x2, \
@@ -139,11 +140,16 @@ def test_quantified_delta_ranks_as_its_quantifier_free_form(text):
 
 
 class ExactKeyDloContext(DloContext):
-    """The symbolic context with its memo keyed by the exact set: no two
-    distinct sets share a key, whatever automorphism relates them."""
+    """The symbolic context with its memo keyed by the exact set, and its
+    candidates drawn over every constant the set carries: no two distinct
+    sets share a key, whatever automorphism relates them, and no constant is
+    dropped from a set's grid."""
 
     def cache_key(self, s):
         return (s.consts, frozenset(s.diagrams))
+
+    def instance_candidates(self, phi, s=None):
+        return self.witness_params(phi, s.consts if s is not None else ())
 
 
 def _random_one_parameter_body(rng, consts, depth=2):
@@ -187,6 +193,17 @@ def test_shape_memo_fixes_delta_constants():
     ctx = DloContext(1)
     phi = parse_partitioned("x0 ; y : y < x0 & 0 < x0")
     assert op_rank(RankQuery(ctx, ctx.top(), (phi,), cap=4)).to_json() == {"at_least": 4}
+
+
+@pytest.mark.parametrize("cap, most", [(4, 12), (6, 20), (8, 28), (10, 36)])
+def test_shape_memo_stays_linear_in_the_cap(cap, most):
+    # a set is keyed over only the constants it depends on: the two ends of
+    # its interval, not every parameter on its path
+    ctx = DloContext(1)
+    lt = parse_partitioned("x0 ; y : x0 < y")
+    engine = _RankEngine(ctx, (lt,), 1)
+    assert _capped_rank(engine, RankQuery(ctx, ctx.top(), (lt,), cap=cap)).capped
+    assert len(engine.memo) <= most
 
 
 # ---------------------------------------------------------------------------
