@@ -2,18 +2,25 @@
 formula, an atom on the block indices of its terms and a quantifier by the
 one-variable extensions of a diagram; on them rest quantifier elimination,
 cell dimension, and the context object, so the rank and pattern machinery
-runs over the dense order unchanged.  The context holds a set as integer
-cells (see `DloSet`): with k variables, the constant of rank i sits at
-(i+1)(k+1) and the j-th variable block of the gap below it at i(k+1)+j, so
-its rank memo keys a set by its shape, up to the automorphisms fixing the
-formulas' constants.  A restrict computes both sign cells in one pass and
+runs over the dense order unchanged.  The context holds a subset of Q^k as
+a product of factors over disjoint groups of variables (see `DloSet`),
+each a set of integer cells over its own variables and constants (see
+`Factor`): with a group of k variables, the constant of rank i sits at
+(i+1)(k+1) and the j-th variable block of the gap below it at i(k+1)+j.
+`top` has one free factor per variable and `to_set` one per group of
+top-level conjuncts that share variables, and a restrict refines and
+splits only the factor its instance mentions, joining first the factors
+the instance links, so a coordinate no constraint mentions never
+multiplies the cells.  A restrict computes both sign sets in one pass and
 keeps them in the context's partition memo, keyed by (set, formula,
 parameters), so a repeated or opposite-sign restrict is a lookup; the memo
-lives as long as the context.  Restricts only ever add constants, so the
-rank memo's key and a node's candidate grid read the set's normal form
-(`DloSet.normal_form`): the same set over only the constants it depends on,
-computed lazily and cached on the set.  Restrict, its memo, emptiness, sat
-and pick work on the set as given, so the pattern checks never pay for it.
+lives as long as the context.  The rank memo keys a set by the shape of
+its joined form (the product as one factor), up to the automorphisms
+fixing the formulas' constants, and keys and candidate grids read that
+form's normal form (`Factor.normal_form`): the same set over only the
+constants it depends on, computed lazily and cached on the set.  Restrict,
+its memo, emptiness, sat and pick work on the factors as given, so the
+pattern checks never pay for the joined form.
 ``sat_sample`` is an independent exact-rational satisfiability solver (DNF
 and order graphs), the tests' reference.
 
@@ -21,6 +28,7 @@ All arithmetic is exact (fractions.Fraction); no floating point anywhere.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -430,6 +438,12 @@ def _coord_vars(m):
     return tuple(f"x{i}" for i in range(m))
 
 
+def _outside(extra, m):
+    """The error for free variables that are not among the m coordinates."""
+    where = f"outside x0..x{m - 1}" if m else "but there are no coordinates (m = 0)"
+    return DloError(f"free variables {sorted(extra)} {where}")
+
+
 def _box_from_diagram(diag, coords_vars):
     env = diag.sample()
     ordered = [env[next(iter(vs))] if vs else c for vs, c in diag.blocks]
@@ -472,7 +486,7 @@ def dimension(f, m, method="both") -> DimensionReport:
     variables = _coord_vars(m)
     extra = free_vars(f) - set(variables)
     if extra:
-        raise DloError(f"free variables {sorted(extra)} outside x0..x{m-1}")
+        raise _outside(extra, m)
     if method not in ("diagram", "projection", "both"):
         raise DloError(f"unknown method {method!r}")
     diagrams = order_diagrams(f, variables)
@@ -491,7 +505,7 @@ def product(f, m0, g, m1):
     renaming = {f"x{i}": f"x{m0 + i}" for i in range(m1)}
     extra = free_vars(g) - set(renaming)
     if extra:
-        raise DloError(f"free variables {sorted(extra)} outside x0..x{m1 - 1}")
+        raise _outside(extra, m1)
     return And(f, rename_vars(g, renaming))
 
 
@@ -510,52 +524,89 @@ def standard_grid(consts):
 
 
 @dataclass(frozen=True)
-class DloSet:
-    """A subset of (Q,<)^k: `consts` is the sorted tuple c_0 < ... < c_{m-1}
-    of its constants, and `diagrams` its cells, in a fixed order, as order
+class Factor:
+    """A subset of (Q,<)^group for a group of the context's variables (their
+    indices, increasing): `consts` is the sorted tuple c_0 < ... < c_{m-1}
+    of its constants, and `cells` its cells, in a fixed order, as order
     diagrams over them in integer form.  A cell holds one position per
-    context variable: c_i sits at (i+1)(k+1), and the j-th variable block
-    (1 <= j <= k) of the gap below c_i (above every constant for i = m) at
-    i(k+1)+j.  The form is canonical, so equal cells are equal tuples."""
+    variable of the group, with stride k+1 for k = |group|: c_i sits at
+    (i+1)(k+1), and the j-th variable block (1 <= j <= k) of the gap below
+    c_i (above every constant for i = m) at i(k+1)+j.  The form is
+    canonical, so equal cells are equal tuples."""
 
+    group: tuple
     consts: tuple
-    diagrams: tuple
+    cells: tuple
 
     def __hash__(self):
         # hashing the Fraction constants is hot in restrict's partition memo; cache it
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.consts, self.diagrams))
+            h = hash((self.group, self.consts, self.cells))
             object.__setattr__(self, "_hash", h)
             return h
 
     def normal_form(self):
-        """The same subset of (Q,<)^k over only the constants it depends on
-        (cached, like the hash).  From the top rank down, c_r goes when
-        splitting the cells merged across it (see `_merge`) by c_r gives back
-        exactly the cells: as a merged cell with b blocks in gap r splits into
-        2b+1, that is a count.  Dropping a constant never makes a lower one
-        droppable that was not, so one pass finds the least constant set."""
+        """The same subset over only the constants it depends on (cached,
+        like the hash).  From the top rank down, c_r goes when splitting the
+        cells merged across it (see `_merge`) by c_r gives back exactly the
+        cells: as a merged cell with b blocks in gap r splits into 2b+1, that
+        is a count.  Dropping a constant never makes a lower one droppable
+        that was not, so one pass finds the least constant set."""
         try:
             return self._normal
         except AttributeError:
             pass
-        consts, cells = self.consts, self.diagrams
-        stride = len(cells[0]) + 1 if cells else 1
+        consts, cells = self.consts, self.cells
+        stride = len(self.group) + 1
         for r in reversed(range(len(consts))):
             lo, hi = r * stride, (r + 1) * stride
             merged = dict.fromkeys(_merge(cell, r, stride) for cell in cells)
             if len(cells) == sum(2 * max((q - lo for q in m if lo < q < hi), default=0) + 1
                                  for m in merged):
                 consts, cells = consts[:r] + consts[r + 1:], tuple(merged)
-        normal = self if consts is self.consts else DloSet(consts, cells)
+        normal = self if consts is self.consts else Factor(self.group, consts, cells)
         object.__setattr__(self, "_normal", normal)
         return normal
 
 
+_UNIT = Factor((), (), ((),))   # the one point of (Q,<)^0
+
+
+@dataclass(frozen=True)
+class DloSet:
+    """A subset of (Q,<)^k as the product of its `factors`, `Factor`s over
+    disjoint groups of the context's variables that cover them all, in the
+    order of their least variables (k = 0 has the one factor `_UNIT`).  The
+    context keeps every factor of a nonempty set nonempty, and gives the
+    empty set as one factor over every variable with no cells, so a set is
+    empty iff its first factor is."""
+
+    factors: tuple
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.factors)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def joined(self):
+        """The same set as one factor over every variable, the form whose
+        normal form keys and grids read (cached, like the hash; a one-factor
+        set's is that factor)."""
+        joined = self.__dict__.get("_joined")  # no exception to catch: most sets are asked once
+        if joined is None:
+            joined = functools.reduce(_join, self.factors)
+            object.__setattr__(self, "_joined", joined)
+        return joined
+
+
 def _cell(diagram, variables, stride):
-    """The integer form (see DloSet) of an order diagram; stride is k+1."""
+    """The integer form (see Factor) of an order diagram over k variables;
+    stride is k+1."""
     at, gap, j = {}, 0, 0
     for vs, c in diagram.blocks:
         gap, j = (gap, j + 1) if c is None else (gap + 1, 0)
@@ -582,15 +633,21 @@ def _merge(cell, r, stride):
                  for q in cell)
 
 
+def _gap_blocks(cell, stride, gaps):
+    """The number of variable blocks of the cell in each of `gaps` gaps."""
+    blocks = [0] * gaps
+    for q in cell:
+        g, j = divmod(q, stride)
+        blocks[g] = max(blocks[g], j)
+    return blocks
+
+
 def _point(cell, consts, stride):
     """The point `_uncell(cell, consts, ...).sample()` gives, read off the
     positions: c_i at a constant's; the j-th of b blocks in gap g at
     c_{g-1} + (c_g - c_{g-1}) j/(b+1) between two constants, c_0 - (b+1-j)
     below them, c_last + j above them, and j - 1 when there are none."""
-    blocks = {}
-    for q in cell:
-        g, j = divmod(q, stride)
-        blocks[g] = max(blocks.get(g, 0), j)
+    blocks = _gap_blocks(cell, stride, len(consts) + 1)
     point = []
     for q in cell:
         g, j = divmod(q, stride)
@@ -621,55 +678,172 @@ def _split(cell, r, stride):
             for u, t in ((lo + 1 + i // 2, (i + 1) // 2) for i in range(2 * b + 1))]
 
 
+def _refine(consts, cells, stride, new):
+    """A factor's constants and cells refined by the sorted constants `new`,
+    and the position of each of those in the refined cells."""
+    consts, at, r = list(consts), [], 0
+    for c in new:
+        # new is sorted, so a later insertion never moves an earlier rank
+        r = bisect_left(consts, c, r)
+        if r == len(consts) or consts[r] != c:
+            consts.insert(r, c)
+            cells = [e for cell in cells for e in _split(cell, r, stride)]
+        at.append((r + 1) * stride)
+    return tuple(consts), cells, at
+
+
+@functools.cache
+def _interleavings(p, q):
+    """The merges of a chain of p blocks with one of q blocks, each kept in
+    order, where a block of one may coincide with a block of the other:
+    pairs (a, b), a[j] and b[j] the merged index (from 1) of block j+1 of
+    each chain."""
+    if not p or not q:
+        return ((tuple(range(1, p + 1)), tuple(range(1, q + 1))),)
+    out = []
+    for dp, dq in ((1, 0), (0, 1), (1, 1)):  # the last merged block: p's, q's or both
+        for a, b in _interleavings(p - dp, q - dq):
+            n = max(a[-1:] + b[-1:], default=0) + 1
+            out.append((a + (n,) * dp, b + (n,) * dq))
+    return tuple(out)
+
+
+def _join(a, b):
+    """The product of two factors as one factor over both groups: each
+    refined by the other's constants, then for each pair of cells every
+    interleaving, gap by gap, of the two cells' blocks."""
+    sa, sb = len(a.group) + 1, len(b.group) + 1
+    consts, xs, _ = _refine(a.consts, a.cells, sa, b.consts)
+    _, ys, _ = _refine(b.consts, b.cells, sb, a.consts)
+    group = a.group + b.group
+    order = sorted(range(len(group)), key=group.__getitem__)
+    stride, gaps = len(group) + 1, len(consts) + 1
+    ys = [(y, _gap_blocks(y, sb, gaps)) for y in ys]
+    cells = []
+    for x in xs:
+        bx = _gap_blocks(x, sa, gaps)
+        for y, by in ys:
+            for ways in itertools.product(*map(_interleavings, bx, by)):
+                at = [g * stride + (ways[g][0][j - 1] if j else 0)
+                      for g, j in (divmod(q, sa) for q in x)]
+                at += [g * stride + (ways[g][1][j - 1] if j else 0)
+                       for g, j in (divmod(q, sb) for q in y)]
+                cells.append(tuple(at[i] for i in order))
+    return Factor(tuple(sorted(group)), consts, tuple(cells))
+
+
+def _divide(factor, variables, body, names, consts, quantified):
+    """The factor's constants refined by the body's constants `consts`
+    (sorted; `names` their lifted names), and its refined cells split into
+    (where the body fails, where it holds); variables[i] is the body's name
+    for the context's variable i."""
+    stride = len(factor.group) + 1
+    own = [variables[i] for i in factor.group]
+    consts, cells, at = _refine(factor.consts, factor.cells, stride, consts)
+    env = dict(zip(names, at))
+    memo, halves = {}, ([], [])
+    for cell in cells:
+        env.update(zip(own, cell))
+        # only a quantifier needs the cell's diagram
+        holds = (_holds(body, _uncell(cell, consts, own, stride).project, env, memo)
+                 if quantified else evaluate_q(body, env))
+        halves[holds].append(cell)
+    return consts, halves
+
+
 class DloContext(Context):
     """Exposes the finite-context interface over the symbolic dense order.
 
-    A context keeps what it computes for the life of the object: instance
-    bodies per (phi, params), candidate grids per (phi, extra constants),
-    and the partition memo, which holds for each (set, phi, params) that
-    restrict has seen the set's two sign cells.  Make a new context to drop
-    them.  `cache_key` and `instance_candidates` read a set through its
-    normal form, so a constant the set does not depend on neither splits
-    its key nor adds points to its grid; everything else takes the set as
-    given."""
+    A set is a `DloSet`, a product of factors over disjoint groups of
+    variables: `top` has one free factor per variable, `to_set` one factor
+    per group of top-level conjuncts that share variables, and a restrict
+    refines and splits only the factor its instance mentions, joining first
+    the factors the instance links.  A context keeps what it computes for
+    the life of the object: instance bodies per (phi, params), candidate
+    grids per (phi, extra constants), and the partition memo, which holds
+    for each (set, phi, params) that restrict has seen the set's two sign
+    sets.  Make a new context to drop them.  `cache_key` and
+    `instance_candidates` read a set through the normal form of its joined
+    form, so neither the factoring nor a constant the set does not depend
+    on splits its key or adds points to its grid; restrict, emptiness, sat
+    and pick work on the factors as given."""
 
     def __init__(self, num_vars=1, max_candidates=4096):
         self.obj_vars = _coord_vars(num_vars)
         self.arity = num_vars
         self.max_candidates = max_candidates
-        self._bodies = {}  # (phi, params) -> lifted instance body, sorted (name, constant)s
+        self._bodies = {}  # (phi, params) -> lifted instance body and what restrict reads of it
         self._grids = {}   # (phi, extra constants) -> the candidate parameter tuples
         self._fixed = ()   # the sorted constants of every formula asked about
-        self._splits = {}  # (set, phi, params) -> the set's two sign cells, see restrict
-
-    def _set(self, consts, diagrams):
-        return DloSet(consts, tuple(_cell(d, self.obj_vars, self.arity + 1) for d in diagrams))
+        self._splits = {}  # (set, phi, params) -> the set's two sign sets, see restrict
+        self._mentions = {}  # phi -> the indices of the object variables its body mentions
+        self._top = DloSet(tuple(Factor((i,), (), ((1,),)) for i in range(num_vars))
+                           or (_UNIT,))
+        self._empty = DloSet((Factor(tuple(range(num_vars)), (), ()),))
 
     def top(self, arity=None):
         if arity not in (None, self.arity):
             raise DloError("symbolic context has a fixed arity")
-        return self._set((), enumerate_diagrams(self.obj_vars, ()))
+        return self._top
 
     def to_set(self, x):
+        """x's set, with one factor per group of its top-level conjuncts that
+        share variables (a ground conjunct only decides emptiness) and a free
+        factor for each variable no conjunct mentions."""
         if isinstance(x, DloSet):
             return x
         extra = free_vars(x) - set(self.obj_vars)
         if extra:
             raise DloError(f"free variables {sorted(extra)} outside the context sort")
-        return self._set(tuple(sorted(constants_of(x))), order_diagrams(x, self.obj_vars))
+        conjuncts, groups, ground = [x], [], []
+        while conjuncts:
+            f = conjuncts.pop()
+            if isinstance(f, And):
+                conjuncts += (f.right, f.left)
+                continue
+            group, parts = {self.obj_vars.index(v) for v in free_vars(f)}, [f]
+            if not group:
+                ground.append(f)
+                continue
+            for g in [g for g in groups if g[0] & group]:
+                groups.remove(g)
+                group |= g[0]
+                parts += g[1]
+            groups.append((group, parts))
+        if ground and not order_diagrams(conj_all(ground), ()):
+            return self._empty
+        factors = dict(enumerate(self._top.factors))
+        for group, parts in groups:
+            group, f = tuple(sorted(group)), conj_all(parts)
+            names = [self.obj_vars[i] for i in group]
+            cells = (_cell(d, names, len(group) + 1) for d in order_diagrams(f, names))
+            for i in group:
+                del factors[i]
+            factors[group[0]] = Factor(group, tuple(sorted(constants_of(f))), tuple(cells))
+        if not all(f.cells for f in factors.values()):
+            return self._empty
+        return DloSet(tuple(factors[i] for i in sorted(factors)))
 
     def _fix(self, consts):
         self._fixed = tuple(sorted(consts.union(self._fixed)))
 
     def _instance_body(self, phi: PartitionedFormula, params):
+        """The lifted instance body, its constants' lifted names and values
+        (sorted), whether it quantifies, and the indices of the variables it
+        mentions."""
         key = (phi, tuple(params))
         if key not in self._bodies:
-            if len(phi.obj_vars) != self.arity:
-                raise DloError("formula object sort does not match the context")
-            self._fix(constants_of(phi.body))
+            if phi not in self._mentions:
+                if len(phi.obj_vars) != self.arity:
+                    raise DloError("formula object sort does not match the context")
+                self._fix(constants_of(phi.body))
+                free = free_vars(phi.body)
+                self._mentions[phi] = frozenset(
+                    i for i, v in enumerate(phi.obj_vars) if v in free)
             body = phi.instantiate(tuple(map(Fraction, params)))
-            names = tuple((_cname(c), c) for c in sorted(constants_of(body)))
-            self._bodies[key] = _lift(body), names, _quantified(body)
+            consts = tuple(sorted(constants_of(body)))
+            self._bodies[key] = (_lift(body), tuple(map(_cname, consts)), consts,
+                                 _quantified(body), self._mentions[phi])
         return self._bodies[key]
 
     def restrict(self, s, phi, params, sign):
@@ -680,31 +854,32 @@ class DloContext(Context):
             halves = self._splits[key] = self._partition(s, phi.obj_vars, *body)
         return halves[1 if sign else 0]
 
-    def _partition(self, s, variables, body, names, quantified):
-        """The cells of s refined by the body's new constants, split into
-        (where the body fails, where it holds); the body's object variables
-        are `variables`."""
-        stride, consts, cells = self.arity + 1, list(s.consts), s.diagrams
-        env, r = {}, 0
-        for name, c in names:
-            # names are sorted, so a later insertion never moves an earlier rank
-            r = bisect_left(consts, c, r)
-            if r == len(consts) or consts[r] != c:
-                consts.insert(r, c)
-                cells = [e for cell in cells for e in _split(cell, r, stride)]
-            env[name] = (r + 1) * stride
-        consts = tuple(consts)
-        memo, halves = {}, ([], [])
-        for cell in cells:
-            env.update(zip(variables, cell))
-            # only a quantifier needs the cell's diagram
-            holds = (_holds(body, _uncell(cell, consts, variables, stride).project, env, memo)
-                     if quantified else evaluate_q(body, env))
-            halves[holds].append(cell)
-        return DloSet(consts, tuple(halves[0])), DloSet(consts, tuple(halves[1]))
+    def _partition(self, s, variables, body, names, consts, quantified, mentions):
+        """s split into (where the body fails, where it holds): the factors
+        the body mentions are joined, refined by its constants and divided,
+        and the other factors are kept.  The body's name for the context's
+        variable i is variables[i]."""
+        factors = s.factors
+        hit = [f for f in factors if not mentions.isdisjoint(f.group)]
+        if not hit:  # a ground body holds everywhere or nowhere
+            holds = _divide(_UNIT, variables, body, names, consts, quantified)[1][1]
+            return (self._empty, s) if holds else (s, self._empty)
+        joined = functools.reduce(_join, hit)
+        consts, halves = _divide(joined, variables, body, names, consts, quantified)
+        # the joined factor takes the place of the first one it joins
+        at = factors.index(hit[0])
+        before, after = factors[:at], factors[at + 1:]
+        if len(hit) > 1:
+            after = tuple(f for f in after if f not in hit)
+
+        def product(cells):
+            if not cells:
+                return self._empty
+            return DloSet(before + (Factor(joined.group, consts, tuple(cells)),) + after)
+        return product(halves[0]), product(halves[1])
 
     def is_empty(self, s):
-        return not s.diagrams
+        return not s.factors[0].cells  # see DloSet
 
     def size(self, s):
         return None
@@ -715,18 +890,32 @@ class DloContext(Context):
         other's: the cells; the fixed constants of the set by value; where
         each fixed constant falls among the set's.  Sound for the rank memo,
         as a node's candidates are one point per gap of Delta's constants
-        and the normal form's, and the set is a union of cells over those."""
-        fixed, s = self._fixed, s.normal_form()
-        return (frozenset(s.diagrams), tuple(c if c in fixed else None for c in s.consts),
-                tuple(bisect_left(s.consts, c) for c in fixed))
+        and the normal form's, and the set is a union of cells over those.
+        The key is cached on the normal form with the fixed constants it was
+        computed for, as the rank engines ask again for the same sets."""
+        fixed, s = self._fixed, s.joined().normal_form()
+        try:
+            if s._key[0] is fixed:
+                return s._key[1]
+        except AttributeError:
+            pass
+        key = (frozenset(s.cells), tuple(c if c in fixed else None for c in s.consts),
+               tuple(bisect_left(s.consts, c) for c in fixed))
+        object.__setattr__(s, "_key", (fixed, key))
+        return key
 
     def pick(self, s):
-        if not s.diagrams:
+        """The point each factor's first cell gives its variables."""
+        if self.is_empty(s):
             raise DloError("cannot pick from an empty set")
-        return _point(s.diagrams[0], s.consts, self.arity + 1)
+        point = [None] * self.arity
+        for f in s.factors:
+            for i, v in zip(f.group, _point(f.cells[0], f.consts, len(f.group) + 1)):
+                point[i] = v
+        return tuple(point)
 
     def instance_candidates(self, phi: PartitionedFormula, s=None):
-        return self.witness_params(phi, s.normal_form().consts if s is not None else ())
+        return self.witness_params(phi, s.joined().normal_form().consts if s is not None else ())
 
     def witness_params(self, phi: PartitionedFormula, extra=()):
         """Every parameter tuple for phi over the grid of its constants and

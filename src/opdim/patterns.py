@@ -90,28 +90,30 @@ def _selector_space(depth, length, bound):
     return itertools.product(range(length), repeat=depth)
 
 
-def _ird_constraints(pattern, selector):
-    out = []
-    for i, threshold in enumerate(selector):
-        psi = pattern.formulas[i]
-        for j, w in enumerate(pattern.witnesses[i]):
-            out.append(Constraint(psi, w, 0 if j < threshold else 1))
-    return out
+def _ird_row(psi, witnesses, threshold):
+    return [Constraint(psi, w, 0 if j < threshold else 1) for j, w in enumerate(witnesses)]
 
 
-def _ict_constraints(pattern, selector):
-    out = []
-    for i, hit in enumerate(selector):
-        psi = pattern.formulas[i]
-        for j, w in enumerate(pattern.witnesses[i]):
-            out.append(Constraint(psi, w, 1 if j == hit else 0))
-    return out
+def _ict_row(psi, witnesses, hit):
+    return [Constraint(psi, w, 1 if j == hit else 0) for j, w in enumerate(witnesses)]
 
 
-def _check(pattern, constraints_of, selector_bound):
+def _signed_rows(row_constraints, psi, witnesses, length):
+    """One row's signed constraints for each selector value."""
+    return tuple(row_constraints(psi, witnesses, v) for v in range(length))
+
+
+def _joint(rows, selector):
+    """The constraints of the rows' signed lists at a selector, row by row."""
+    return [c for row, v in zip(rows, selector) for c in row[v]]
+
+
+def _check(pattern, row_constraints, selector_bound):
     s = pattern.context.to_set(pattern.base)
+    rows = [_signed_rows(row_constraints, psi, row, pattern.length)
+            for psi, row in zip(pattern.formulas, pattern.witnesses)]
     for f in _selector_space(pattern.depth, pattern.length, selector_bound):
-        if pattern.context.sat(s, constraints_of(pattern, f)) is None:
+        if pattern.context.sat(s, _joint(rows, f)) is None:
             return False, f
     return True, None
 
@@ -119,13 +121,13 @@ def _check(pattern, constraints_of, selector_bound):
 def check_ird(pattern: IRDPattern, selector_bound=SELECTOR_BOUND):
     """Exhaustively check every threshold selector; returns (ok, failing
     selector or None)."""
-    return _check(pattern, _ird_constraints, selector_bound)
+    return _check(pattern, _ird_row, selector_bound)
 
 
 def check_ict(pattern: ICTPattern, selector_bound=SELECTOR_BOUND):
     """Exhaustively check every single-hit selector; returns (ok, failing
     selector or None)."""
-    return _check(pattern, _ict_constraints, selector_bound)
+    return _check(pattern, _ict_row, selector_bound)
 
 
 def ird_to_ict(pattern: IRDPattern) -> ICTPattern:
@@ -194,21 +196,29 @@ def _witness_space(context, psi, witness_grid):
 
 
 def _search(context, base, pool, depth, length, witness_grid, budget_limit,
-            constraints_of, pattern_cls):
+            row_constraints, pattern_cls):
     if depth < 0 or length < 0:
         raise PatternError("depth and length must be nonnegative")
     s = context.to_set(base)
     budget = _Budget(budget_limit)
 
-    def joint_ok(rows):
-        pat = pattern_cls(context, base,
-                          tuple(r[0] for r in rows), tuple(r[1] for r in rows))
-        for f in _selector_space(len(rows), length, SELECTOR_BOUND):
+    def joint_ok(lists):
+        """Whether every selector over rows with these signed lists is
+        consistent; None once the budget runs out."""
+        for f in _selector_space(len(lists), length, SELECTOR_BOUND):
             if not budget.spend():
                 return None
-            if context.sat(s, constraints_of(pat, f)) is None:
+            if context.sat(s, _joint(lists, f)) is None:
                 return False
-        return pat
+        return True
+
+    # rows[i] = (psi, witnesses); signed[i][v] = its constraints at selector value v
+    rows, signed = [], []
+
+    def found(chosen):
+        pattern = pattern_cls(context, base, tuple(rows[i][0] for i in chosen),
+                              tuple(rows[i][1] for i in chosen))
+        return SearchResult("found", pattern, budget.used)
 
     if depth == 0:
         # the empty pattern: its one selector is consistent iff the base is nonempty
@@ -216,24 +226,26 @@ def _search(context, base, pool, depth, length, witness_grid, budget_limit,
         if verdict is None:
             return SearchResult("none_budget", None, budget.used)
         if verdict:
-            return SearchResult("found", verdict, budget.used)
+            return found([])
         return SearchResult("none_exhaustive", None, budget.used)
 
-    rows = []
     for psi in pool:
         space = _witness_space(context, psi, witness_grid)
+        if length == 0:
+            # with no witnesses every selector would be vacuously consistent
+            raise PatternError("a pattern with formulas needs witnesses")
         for seq in itertools.product(space, repeat=length):
-            verdict = joint_ok([(psi, seq)])
+            lists = _signed_rows(row_constraints, psi, seq, length)
+            verdict = joint_ok([lists])
             if verdict is None:
                 return SearchResult("none_budget", None, budget.used)
             if verdict:
                 rows.append((psi, seq))
+                signed.append(lists)
 
     if depth == 1:
         if rows:
-            return SearchResult("found",
-                                pattern_cls(context, base, (rows[0][0],), (rows[0][1],)),
-                                budget.used)
+            return found([0])
         return SearchResult("none_exhaustive", None, budget.used)
 
     # any two rows of a valid pattern form a valid pattern, so rows failing
@@ -242,15 +254,18 @@ def _search(context, base, pool, depth, length, witness_grid, budget_limit,
 
     def pair_ok(i, k):
         if (i, k) not in pair_cache:
-            verdict = joint_ok([rows[i], rows[k]])
+            verdict = joint_ok([signed[i], signed[k]])
             if verdict is None:
                 return None
-            pair_cache[(i, k)] = bool(verdict)
+            pair_cache[(i, k)] = verdict
         return pair_cache[(i, k)]
 
     def extend(start, chosen):
+        """The first valid extension of `chosen` to `depth` rows from `start`
+        on, False when there is none, None once the budget runs out."""
         if len(chosen) == depth:
-            return joint_ok([rows[i] for i in chosen])
+            verdict = joint_ok([signed[i] for i in chosen])
+            return chosen if verdict else verdict
         for k in range(start, len(rows)):
             compatible = True
             for j in chosen:
@@ -271,7 +286,7 @@ def _search(context, base, pool, depth, length, witness_grid, budget_limit,
     if outcome is None:
         return SearchResult("none_budget", None, budget.used)
     if outcome:
-        return SearchResult("found", outcome, budget.used)
+        return found(outcome)
     return SearchResult("none_exhaustive", None, budget.used)
 
 
@@ -280,13 +295,13 @@ def search_ird(context, base, pool, depth, length=3, witness_grid=None,
     """Exhaustive search for a threshold pattern over the witness grid.
     Distinguishes none-because-exhausted from none-because-budget."""
     return _search(context, base, pool, depth, length, witness_grid, budget,
-                   _ird_constraints, IRDPattern)
+                   _ird_row, IRDPattern)
 
 
 def search_ict(context, base, pool, depth, length=3, witness_grid=None,
                budget=None) -> SearchResult:
     return _search(context, base, pool, depth, length, witness_grid, budget,
-                   _ict_constraints, ICTPattern)
+                   _ict_row, ICTPattern)
 
 
 def dp_rank_lower(context, base, pool, cap, length=3, witness_grid=None,

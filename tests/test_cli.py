@@ -585,6 +585,7 @@ def bad_files(tmp_path, chain4_file):
     ("dprank", "dlo", "--pool", "x0 ; y : x0 = x0", "--pool", "x0 ; y : y = y",
      "--length", "0", "--cap", "4"),
     ("ict", "dlo", "--check", "{no_witnesses}"),
+    ("ird", "dlo", "--pool", "x0 ; w : x0 < w", "--depth", "3", "--length", "0"),
     # a grid of single values offers nothing to a 2-parameter formula
     ("ird", "dlo", "--pool", "x0 ; a b : a < x0 & x0 < b", "--grid", "0,1",
      "--depth", "1", "--length", "2"),
@@ -596,6 +597,9 @@ def bad_files(tmp_path, chain4_file):
     ("ict", "dlo", "--pool", "x0 ; w : x0 < w", "--length", "-1", "--depth", "0"),
     ("omin", "irdwitness", "x0 < 1", "-m", "1", "--length", "-1"),
     ("mo", "gen", "-n", "2", "--size", "-3"),
+    # a formula with free variables and no coordinates to hold them
+    ("omin", "dim", "x0 < 1", "-m", "0"),
+    ("omin", "prodcheck", "x0 < 1", "x0 < 2", "-m", "1", "-m1", "0"),
     ("dprank", "dlo", "--pool", "x0 ; w : x0 < w", "--cap", "-1"),
     # an empty base, as rank and opdim reject it
     ("dprank", "dlo", "--pool", "x0 ; y : x0 < y", "--subset", "x0 ; : x0 < 1 & 2 < x0",
@@ -627,6 +631,16 @@ def test_irdwitness_names_a_negative_length(capsys):
     assert code == 2 and "the pattern length must be nonnegative" in err
     code, _, err = run(capsys, "omin", "irdwitness", "x0 < 1", "-m", "1", "--length", "0")
     assert code == 2 and "a pattern with formulas needs witnesses" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("omin", "dim", "x0 < 1", "-m", "0"),
+    ("omin", "prodcheck", "x0 < 1", "x0 < 2", "-m", "1", "-m1", "0"),
+], ids=lambda argv: " ".join(argv))
+def test_no_coordinates_is_named(capsys, argv):
+    # m = 0 once named the empty range x0..x-1
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "there are no coordinates (m = 0)" in err and "x-1" not in err
 
 
 def test_mo_moptest_host_labels_name_elements(capsys, tmp_path, chain4_file):

@@ -16,7 +16,9 @@ from opdim import (
     satisfiable_q, standard_grid,
 )
 from opdim import dlo
-from opdim.dlo import DloSet, OrderDiagram, _cell, _uncell, constants_of, enumerate_diagrams
+from opdim.dlo import (
+    DloSet, Factor, OrderDiagram, _cell, _uncell, constants_of, enumerate_diagrams,
+)
 from opdim.ranks import RankQuery, gamma_consistent, op_rank, shelah_rank2
 from opdim.logic import Elem, PartitionedFormula, conj_all, evaluate, free_vars, signed
 from opdim.patterns import check_ird
@@ -453,6 +455,15 @@ def test_context_cache_key_is_semantic():
     assert ctx.cache_key(a) == ctx.cache_key(b)
 
 
+def test_context_cache_key_follows_the_fixed_constants():
+    # the key is cached on the set, but only for the fixed constants it was computed for
+    ctx = DloContext(1)
+    s, t = (ctx.to_set(parse_formula(f"x0 < {c}")) for c in (1, 2))
+    assert ctx.cache_key(s) == ctx.cache_key(t)  # no constant fixed: one shape
+    ctx.instance_candidates(parse_partitioned("x0 ; y : x0 < y | x0 = 1"), s)  # fixes 1
+    assert ctx.cache_key(s) != ctx.cache_key(t)
+
+
 def test_context_candidate_budget():
     ctx = DloContext(1, max_candidates=10)
     phi = parse_partitioned(
@@ -470,7 +481,7 @@ def test_context_candidates_repeat_as_equal_tuples():
     s = ctx.to_set(parse_formula("x0 < 1"))
     first = ctx.instance_candidates(phi, s)
     assert isinstance(first, tuple) and first == ctx.instance_candidates(phi, s)
-    assert ctx.witness_params(phi, s.consts) == first
+    assert ctx.witness_params(phi, s.joined().consts) == first
 
 
 def test_context_sat_returns_witness():
@@ -524,9 +535,9 @@ def test_context_diagrams_agree_with_the_dnf_solver():
 
 def refined_cells(s, consts, variables):
     """The integer cells over `consts`, a superset of s.consts, whose
-    diagrams lie in s: those that land on a cell of s once the constants
-    outside s.consts are forgotten."""
-    stride, old, cells = len(variables) + 1, set(s.consts), set(s.diagrams)
+    diagrams lie in the factor s over every variable: those that land on a
+    cell of s once the constants outside s.consts are forgotten."""
+    stride, old, cells = len(variables) + 1, set(s.consts), set(s.cells)
     out = set()
     for d in enumerate_diagrams(variables, consts):
         coarse = OrderDiagram(tuple((vs, c if c in old else None)
@@ -558,20 +569,104 @@ def test_restrict_memo_answers_as_a_fresh_context():
                 for b, half in enumerate(halves):
                     fresh = DloContext(warm.arity).restrict(s, phi, (p,), b)
                     assert half == fresh and hash(half) == hash(fresh), (case, b)
-                    assert hash(DloSet(half.consts, half.diagrams)) == hash(half)
+                    copy = DloSet(tuple(Factor(f.group, f.consts, f.cells)
+                                        for f in half.factors))
+                    assert hash(copy) == hash(half)
                     assert warm.restrict(s, phi, (p,), b) is half
-                neg, pos = halves
-                assert neg.consts == pos.consts and set(s.consts) <= set(pos.consts)
-                assert not set(neg.diagrams) & set(pos.diagrams), case
-                assert len(set(neg.diagrams)) + len(set(pos.diagrams)) == \
-                    len(neg.diagrams) + len(pos.diagrams), case
-                refined = refined_cells(s, pos.consts, warm.obj_vars)
-                assert set(neg.diagrams) | set(pos.diagrams) == refined, case
+                neg, pos = (half.joined() for half in halves)
+                body = phi.instantiate((p,))
+                merged = tuple(sorted(set(s.joined().consts) | constants_of(body)))
+                if free_vars(body):  # a nonempty half is over the merged constants
+                    assert all(h.consts == merged for h in (neg, pos) if h.cells), case
+                else:  # a ground body keeps the set or empties it
+                    assert s in halves and any(map(warm.is_empty, halves)), case
+                # both halves and s read over the merged constants
+                negs, poss = (refined_cells(h, merged, warm.obj_vars) for h in (neg, pos))
+                assert not negs & poss, case
+                assert len(set(neg.cells)) + len(set(pos.cells)) == \
+                    len(neg.cells) + len(pos.cells), case
+                refined = refined_cells(s.joined(), merged, warm.obj_vars)
+                assert negs | poss == refined, case
                 stride = warm.arity + 1
                 holds = {_cell(d, warm.obj_vars, stride) for d in order_diagrams(
-                    phi.instantiate((p,)), warm.obj_vars, pos.consts)}
-                assert set(pos.diagrams) == refined & holds, case
+                    body, warm.obj_vars, merged)}
+                assert poss == refined & holds, case
                 s = halves[sign]
+
+
+def random_grouped_conjunction(rng, ctx):
+    """A conjunction, nested at random, of quantifier-free formulas each over
+    one group of a random partition of some of the context's variables, and
+    now and then a ground conjunct."""
+    names = list(ctx.obj_vars)
+    rng.shuffle(names)
+    consts = sorted({Q(rng.randint(-2, 2)) for _ in range(rng.randint(0, 2))})
+    parts = []
+    while names:
+        cut = rng.randint(1, len(names))
+        group, names = names[:cut], names[cut:]
+        if rng.random() < 0.8:  # a group no conjunct mentions stays free
+            parts += [random_qf_formula(rng, group, consts, depth=1)
+                      for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.2:
+        parts.append(random_qf_formula(rng, [], [Q(0), Q(1)], depth=1))
+    rng.shuffle(parts)
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        parts[i:i + 2] = [And(parts[i], parts[i + 1])]
+    return parts[0] if parts else TRUE
+
+
+def test_factors_agree_with_the_diagrams_of_the_conjunction():
+    # to_set on grouped conjunctions, then restrict chains: the joined form
+    # is the diagrams of the conjunction of the formula and the signed
+    # instances, and emptiness, pick and cache_key agree with it
+    rng = random.Random(83)
+    joins = factored = 0
+    for case in range(200):
+        ctx = DloContext(rng.randint(1, 3))
+        f = random_grouped_conjunction(rng, ctx)
+        chain = random_restrict_chain(rng, ctx)
+        bodies = [signed(phi.instantiate((p,)), sign) for phi, p, sign in chain]
+        s = r = ctx.to_set(f)
+        factored += len(s.factors) > 1
+        for phi, p, sign in chain:
+            before = len(s.factors)
+            s = ctx.restrict(s, phi, (p,), sign)
+            joins += not ctx.is_empty(s) and len(s.factors) < before
+        for phi, p, sign in reversed(chain):
+            r = ctx.restrict(r, phi, (p,), sign)
+        whole = conj_all([f] + bodies)
+        joined = s.joined()
+        merged = sorted(set(joined.consts) | constants_of(whole))
+        want = {_cell(d, ctx.obj_vars, ctx.arity + 1)
+                for d in order_diagrams(whole, ctx.obj_vars, merged)}
+        assert refined_cells(joined, merged, ctx.obj_vars) == want, (case, f, bodies)
+        free = [qe_dlo(b) if isinstance(phi.body, (Exists, Forall)) else b
+                for b, (phi, _, _) in zip(bodies, chain)]
+        assert ctx.is_empty(s) == (sat_sample(conj_all([f] + free)) is None), (case, f)
+        assert ctx.cache_key(s) == ctx.cache_key(r), case
+        if not ctx.is_empty(s):
+            env = dict(zip(ctx.obj_vars, ctx.pick(s)))
+            assert all(evaluate_q(g, env) for g in [f] + free), (case, f, bodies, env)
+    assert factored > 25 and joins > 10  # the cases do factor and join
+
+
+def test_restrict_splits_only_the_factor_it_mentions(monkeypatch):
+    ctx = DloContext(3)
+    s = ctx.to_set(parse_formula("x0 < 1 & 0 < x1"))
+    assert [(f.group, f.consts) for f in s.factors] == \
+        [((0,), (Q(1),)), ((1,), (Q(0),)), ((2,), ())]
+    calls = []
+    real = dlo._split
+    monkeypatch.setattr(dlo, "_split", lambda *args: calls.append(args) or real(*args))
+    phi = parse_partitioned("x0 x1 x2 ; w : x0 < w")
+    neg, pos = (ctx.restrict(s, phi, (Q(1, 2),), sign) for sign in (0, 1))
+    # the new constant 1/2 splits each cell of the x0 factor once, and nothing else
+    assert len(calls) == len(s.factors[0].cells) == 1
+    for half in (neg, pos):
+        assert half.factors[1:] == s.factors[1:]
+        assert half.factors[0].consts == (Q(1, 2), Q(1))
 
 
 def test_restrict_refines_and_evaluates_once_per_instance(monkeypatch):
@@ -585,21 +680,22 @@ def test_restrict_refines_and_evaluates_once_per_instance(monkeypatch):
             return real(*args)
         monkeypatch.setattr(dlo, name, counted)
     pos, neg, again = (ctx.restrict(s, phi, (Q(1, 2),), sign) for sign in (1, 0, 1))
-    assert again is pos and neg.consts == pos.consts == (Q(1, 2), Q(1))
+    neg, pos, s = neg.joined(), pos.joined(), s.joined()  # one factor each: no split
+    assert again.joined() is pos and neg.consts == pos.consts == (Q(1, 2), Q(1))
     # one new constant: each cell of s is split once, each refined cell decided once
-    assert calls == {"_split": len(s.diagrams),
-                     "evaluate_q": len(neg.diagrams) + len(pos.diagrams)}
+    assert calls == {"_split": len(s.cells),
+                     "evaluate_q": len(neg.cells) + len(pos.cells)}
 
 
 def coarsened(s, consts, variables):
     """The integer cells over `consts`, a subset of s.consts, of the diagrams
-    of s with the other constants forgotten."""
+    of the factor s over every variable with the other constants forgotten."""
     stride, keep = len(variables) + 1, set(consts)
     return {_cell(OrderDiagram(tuple((vs, c if c in keep else None)
                                      for vs, c in _uncell(cell, s.consts, variables,
                                                           stride).blocks
                                      if vs or c in keep)), variables, stride)
-            for cell in s.diagrams}
+            for cell in s.cells}
 
 
 def test_normal_form_keeps_exactly_the_constants_a_set_depends_on():
@@ -613,28 +709,31 @@ def test_normal_form_keeps_exactly_the_constants_a_set_depends_on():
         s = ctx.top()
         for phi, p, sign in random_restrict_chain(rng, ctx):
             s = ctx.restrict(s, phi, (p,), sign)
-            n = s.normal_form()
-            assert n is s.normal_form() and set(n.consts) <= set(s.consts), case
-            dropped += len(s.consts) - len(n.consts)
-            if not s.diagrams:
-                assert n == DloSet((), ()), case
+            j = s.joined()
+            n = j.normal_form()
+            assert n is j.normal_form() and set(n.consts) <= set(j.consts), case
+            dropped += len(j.consts) - len(n.consts)
+            if not j.cells:
+                assert n == Factor(j.group, (), ()), case
                 continue
-            assert refined_cells(n, s.consts, ctx.obj_vars) == set(s.diagrams), case
+            assert refined_cells(n, j.consts, ctx.obj_vars) == set(j.cells), case
             for c in n.consts:
                 kept = tuple(x for x in n.consts if x != c)
-                coarse = DloSet(kept, tuple(coarsened(n, kept, ctx.obj_vars)))
-                assert refined_cells(coarse, n.consts, ctx.obj_vars) != set(n.diagrams), \
+                coarse = Factor(n.group, kept, tuple(coarsened(n, kept, ctx.obj_vars)))
+                assert refined_cells(coarse, n.consts, ctx.obj_vars) != set(n.cells), \
                     (case, c)
-            again = DloSet(n.consts, n.diagrams).normal_form()
-            assert again == n and again.diagrams == n.diagrams, case
+            again = Factor(n.group, n.consts, n.cells).normal_form()
+            assert again == n and again.cells == n.cells, case
     assert dropped > 100  # the chains do exercise the dropping
 
 
 def test_normal_form_of_the_empty_set_and_of_a_constant_free_set():
     ctx = DloContext(2)
-    assert DloSet((Q(0), Q(1)), ()).normal_form() == DloSet((), ())
+    assert Factor((0, 1), (Q(0), Q(1)), ()).normal_form() == Factor((0, 1), (), ())
     s = ctx.to_set(parse_formula("x0 < x1 | x0 = x1 | x1 < x0 | x0 = 0"))
-    assert s.consts == (Q(0),) and s.normal_form() == ctx.top()
+    n, top = s.joined().normal_form(), ctx.top().joined()
+    assert s.joined().consts == (Q(0),) and n.consts == top.consts == ()
+    assert n.group == top.group and sorted(n.cells) == sorted(top.cells)
 
 
 def test_pick_is_the_sample_of_the_first_cell():
@@ -650,7 +749,8 @@ def test_pick_is_the_sample_of_the_first_cell():
                 cell = _cell(d, ctx.obj_vars, k + 1)
                 env = _uncell(cell, consts, ctx.obj_vars, k + 1).sample()
                 want = tuple(env[v] for v in ctx.obj_vars)
-                assert ctx.pick(DloSet(consts, (cell,))) == want, (consts, d)
+                s = DloSet((Factor(tuple(range(k)), consts, (cell,)),))
+                assert ctx.pick(s) == want, (consts, d)
 
 
 # The one-variable formulas of the benchmark's dlo-rank workload, c0 = 1/3.

@@ -152,6 +152,9 @@ def test_search_ird_plane_depth_two_found():
                         witness_grid=GRID1)
     assert result.status == "found"
     assert check_ird(result.pattern) == (True, None)
+    # the first valid rows in pool and grid order, found after 48 checks
+    assert result.pattern.formulas == (X0_LT_W, X1_LT_W) and result.checks_used == 48
+    assert result.pattern.witnesses == (((Q(0),), (Q(1),)),) * 2
 
 
 def test_search_ird_pure_equality_depth_one_exhausts():

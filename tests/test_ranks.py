@@ -146,10 +146,11 @@ class ExactKeyDloContext(DloContext):
     dropped from a set's grid."""
 
     def cache_key(self, s):
-        return (s.consts, frozenset(s.diagrams))
+        s = s.joined()
+        return (s.consts, frozenset(s.cells))
 
     def instance_candidates(self, phi, s=None):
-        return self.witness_params(phi, s.consts if s is not None else ())
+        return self.witness_params(phi, s.joined().consts if s is not None else ())
 
 
 def _random_one_parameter_body(rng, consts, depth=2):
