@@ -1,28 +1,22 @@
-"""The symbolic (Q, <) engine.  Order diagrams decide every first-order
-formula, an atom on the block indices of its terms and a quantifier by the
-one-variable extensions of a diagram; on them rest quantifier elimination,
-cell dimension, and the context object, so the rank and pattern machinery
-runs over the dense order unchanged.  The context holds a subset of Q^k as
-a product of factors over disjoint groups of variables (see `DloSet`),
-each a set of integer cells over its own variables and constants (see
-`Factor`): with a group of k variables, the constant of rank i sits at
-(i+1)(k+1) and the j-th variable block of the gap below it at i(k+1)+j.
-`top` has one free factor per variable and `to_set` one per group of
-top-level conjuncts that share variables, and a restrict refines and
-splits only the factor its instance mentions, joining first the factors
-the instance links, so a coordinate no constraint mentions never
-multiplies the cells.  A restrict computes both sign sets in one pass and
-keeps them in the context's partition memo, keyed by (set, formula,
-parameters), so a repeated or opposite-sign restrict is a lookup; the memo
-lives as long as the context.  The rank memo keys a set by the shape of
-its joined form (the product as one factor), up to the automorphisms
-fixing the formulas' constants, and keys and candidate grids read that
-form's normal form (`Factor.normal_form`): the same set over only the
-constants it depends on, computed lazily and cached on the set.  Restrict,
-its memo, emptiness, sat and pick work on the factors as given, so the
-pattern checks never pay for the joined form.
-``sat_sample`` is an independent exact-rational satisfiability solver (DNF
-and order graphs), the tests' reference.
+"""The symbolic (Q, <) engine.  Every first-order formula is decided on
+integer positions of its free variables and constants, placed in the order
+of the points they stand for (see `_holds`): an atom compares positions,
+and a quantifier tries its variable on and between the ranked positions of
+the formula it binds, which the homogeneity of (Q,<) makes exact.  Order
+diagrams feed it their block indices, for quantifier elimination and cell
+dimension; the context feeds it the positions of its cells and builds no
+order diagram, so the rank and pattern machinery runs over the dense order
+unchanged.  The context holds a subset of Q^k as a product of factors over
+disjoint groups of variables (see `DloSet`), each a set of integer cells
+over its own variables and constants (see `Factor`).  A restrict refines
+and splits only the factor its instance mentions, joining first the
+factors the instance links, and keeps both sign sets in a partition memo;
+`to_set` restricts `top` by each top-level conjunct.  The rank memo keys a
+set, and the candidate grids read it, through the normal form of its
+joined form (`DloSet.joined`, `Factor.normal_form`); restrict, emptiness,
+sat and pick work on the factors as given.  ``sat_sample`` is an
+independent exact-rational satisfiability solver (DNF and order graphs),
+the tests' reference.
 
 All arithmetic is exact (fractions.Fraction); no floating point anywhere.
 """
@@ -355,47 +349,50 @@ def _positions(d):
     return env
 
 
-def _holds(f, project, env, memo):
-    """Whether a diagram d satisfies the lifted formula f (see `_lift`); env
-    places every variable and constant of d at an integer, in d's order, so
-    it decides each atom, and `project(names)` is d.project(names).  A
-    quantified subformula depends only on `base`, d cut down to the
-    subformula's free variables (so its bound variable is dropped even where
-    it shadows a free one); by the homogeneity of (Q,<), base satisfies
-    `exists v. g` iff one of the diagrams adding v to it satisfies g, and
-    `forall v. g` iff all of them do.  `memo` keeps each quantified
-    subformula's free variables and its answer on each base."""
+def _holds(f, env, memo):
+    """Whether the lifted formula f (see `_lift`) holds where env places its
+    free variables and constants: at integers, in the order of the points
+    they stand for, so env decides each atom.  A quantified subformula
+    depends only on the order of its free variables' positions (a lifted
+    constant is one), which are ranked to 1, 3, ..., 2m-1; by the homogeneity of (Q,<), `exists v. g`
+    holds iff g holds with v at one of 0, 1, ..., 2m (on a ranked position
+    or in a gap between two), and `forall v. g` iff at all of them.  `memo`
+    keeps each quantified subformula's free variables and its answer on
+    each rank tuple."""
     if isinstance(f, (Exists, Forall)):
         if id(f) not in memo:
-            memo[id(f)] = free_vars(f), {}
+            memo[id(f)] = tuple(free_vars(f)), {}
         scope, answers = memo[id(f)]
-        base = project(scope)
-        if base not in answers:
-            found = (_holds(f.sub, e.project, _positions(e), memo)
-                     for e in base.extensions(f.var))
-            answers[base] = any(found) if isinstance(f, Exists) else all(found)
-        return answers[base]
+        at = [env[v] for v in scope]
+        rank = {p: 2 * i + 1 for i, p in enumerate(sorted(set(at)))}
+        key = tuple(map(rank.__getitem__, at))
+        if key not in answers:
+            ranked = dict(zip(scope, key))
+            found = (_holds(f.sub, {**ranked, f.var: p}, memo)
+                     for p in range(2 * len(rank) + 1))
+            answers[key] = any(found) if isinstance(f, Exists) else all(found)
+        return answers[key]
     if isinstance(f, Not):
-        return not _holds(f.sub, project, env, memo)
+        return not _holds(f.sub, env, memo)
     if isinstance(f, And):
-        return _holds(f.left, project, env, memo) and _holds(f.right, project, env, memo)
+        return _holds(f.left, env, memo) and _holds(f.right, env, memo)
     if isinstance(f, Or):
-        return _holds(f.left, project, env, memo) or _holds(f.right, project, env, memo)
+        return _holds(f.left, env, memo) or _holds(f.right, env, memo)
     if isinstance(f, Imp):
-        return not _holds(f.left, project, env, memo) or _holds(f.right, project, env, memo)
+        return not _holds(f.left, env, memo) or _holds(f.right, env, memo)
     return evaluate_q(f, env)
 
 
 def order_diagrams(f, variables=None, extra_consts=()):
-    """The complete consistent diagrams over `variables` and the constants
-    of f that satisfy the formula f, quantifiers allowed; their union is
-    exactly the set f defines."""
+    """The complete consistent diagrams over `variables` (which must hold
+    f's free variables) and the constants of f that satisfy the formula f,
+    quantifiers allowed; their union is exactly the set f defines."""
     if variables is None:
         variables = sorted(free_vars(f))
     consts = constants_of(f) | set(extra_consts)
     lifted, memo = _lift(f), {}
     return [d for d in enumerate_diagrams(variables, consts)
-            if _holds(lifted, d.project, _positions(d), memo)]
+            if _holds(lifted, _positions(d), memo)]
 
 
 def qe_dlo(f):
@@ -604,24 +601,6 @@ class DloSet:
         return joined
 
 
-def _cell(diagram, variables, stride):
-    """The integer form (see Factor) of an order diagram over k variables;
-    stride is k+1."""
-    at, gap, j = {}, 0, 0
-    for vs, c in diagram.blocks:
-        gap, j = (gap, j + 1) if c is None else (gap + 1, 0)
-        at.update(dict.fromkeys(vs, gap * stride + j))
-    return tuple(at[v] for v in variables)
-
-
-def _uncell(cell, consts, variables, stride):
-    """The order diagram over `consts` of an integer cell."""
-    places = sorted(set(cell).union(range(stride, stride * len(consts) + 1, stride)))
-    return OrderDiagram(tuple(
-        (frozenset(v for v, q in zip(variables, cell) if q == p),
-         None if p % stride else consts[p // stride - 1]) for p in places))
-
-
 def _merge(cell, r, stride):
     """The cell with the constant of rank r dropped, the inverse of `_split`:
     the constant's block, if a variable sits on it, follows the t blocks of
@@ -643,10 +622,11 @@ def _gap_blocks(cell, stride, gaps):
 
 
 def _point(cell, consts, stride):
-    """The point `_uncell(cell, consts, ...).sample()` gives, read off the
-    positions: c_i at a constant's; the j-th of b blocks in gap g at
-    c_{g-1} + (c_g - c_{g-1}) j/(b+1) between two constants, c_0 - (b+1-j)
-    below them, c_last + j above them, and j - 1 when there are none."""
+    """The point the cell's order diagram samples (`OrderDiagram.sample`),
+    read off the positions: c_i at a constant's; the j-th of b blocks in gap
+    g at c_{g-1} + (c_g - c_{g-1}) j/(b+1) between two constants,
+    c_0 - (b+1-j) below them, c_last + j above them, and j - 1 when there
+    are none."""
     blocks = _gap_blocks(cell, stride, len(consts) + 1)
     point = []
     for q in cell:
@@ -737,36 +717,43 @@ def _divide(factor, variables, body, names, consts, quantified):
     (sorted; `names` their lifted names), and its refined cells split into
     (where the body fails, where it holds); variables[i] is the body's name
     for the context's variable i."""
-    stride = len(factor.group) + 1
     own = [variables[i] for i in factor.group]
-    consts, cells, at = _refine(factor.consts, factor.cells, stride, consts)
+    consts, cells, at = _refine(factor.consts, factor.cells, len(own) + 1, consts)
     env = dict(zip(names, at))
     memo, halves = {}, ([], [])
     for cell in cells:
         env.update(zip(own, cell))
-        # only a quantifier needs the cell's diagram
-        holds = (_holds(body, _uncell(cell, consts, own, stride).project, env, memo)
-                 if quantified else evaluate_q(body, env))
-        halves[holds].append(cell)
+        halves[_holds(body, env, memo) if quantified else evaluate_q(body, env)].append(cell)
     return consts, halves
+
+
+def _decision(body, variables):
+    """What `DloContext._partition` reads of a body whose name for the
+    context's variable i is variables[i]: the body lifted, its constants'
+    lifted names and values (sorted), whether it quantifies, and the indices
+    of the variables it mentions."""
+    consts, free = tuple(sorted(constants_of(body))), free_vars(body)
+    return (_lift(body), tuple(map(_cname, consts)), consts, _quantified(body),
+            frozenset(i for i, v in enumerate(variables) if v in free))
 
 
 class DloContext(Context):
     """Exposes the finite-context interface over the symbolic dense order.
 
     A set is a `DloSet`, a product of factors over disjoint groups of
-    variables: `top` has one free factor per variable, `to_set` one factor
-    per group of top-level conjuncts that share variables, and a restrict
-    refines and splits only the factor its instance mentions, joining first
-    the factors the instance links.  A context keeps what it computes for
-    the life of the object: instance bodies per (phi, params), candidate
-    grids per (phi, extra constants), and the partition memo, which holds
-    for each (set, phi, params) that restrict has seen the set's two sign
-    sets.  Make a new context to drop them.  `cache_key` and
-    `instance_candidates` read a set through the normal form of its joined
-    form, so neither the factoring nor a constant the set does not depend
-    on splits its key or adds points to its grid; restrict, emptiness, sat
-    and pick work on the factors as given."""
+    variables: `top` has one free factor per variable, `to_set` restricts
+    it by each top-level conjunct, and a restrict refines and splits only
+    the factor its instance mentions, joining first the factors the
+    instance links.  Every formula, quantified or not, is decided on cell
+    positions (see `_holds`): no method builds an order diagram.  A context
+    keeps what it computes for the life of the object: instance bodies per
+    (phi, params), candidate grids per (phi, extra constants), and the
+    partition memo, which holds for each (set, phi, params) that restrict
+    has seen the set's two sign sets.  Make a new context to drop them.
+    `cache_key` and `instance_candidates` read a set through the normal
+    form of its joined form, so neither the factoring nor a constant the
+    set does not depend on splits its key or adds points to its grid;
+    restrict, emptiness, sat and pick work on the factors as given."""
 
     def __init__(self, num_vars=1, max_candidates=4096):
         self.obj_vars = _coord_vars(num_vars)
@@ -776,7 +763,6 @@ class DloContext(Context):
         self._grids = {}   # (phi, extra constants) -> the candidate parameter tuples
         self._fixed = ()   # the sorted constants of every formula asked about
         self._splits = {}  # (set, phi, params) -> the set's two sign sets, see restrict
-        self._mentions = {}  # phi -> the indices of the object variables its body mentions
         self._top = DloSet(tuple(Factor((i,), (), ((1,),)) for i in range(num_vars))
                            or (_UNIT,))
         self._empty = DloSet((Factor(tuple(range(num_vars)), (), ()),))
@@ -787,63 +773,38 @@ class DloContext(Context):
         return self._top
 
     def to_set(self, x):
-        """x's set, with one factor per group of its top-level conjuncts that
-        share variables (a ground conjunct only decides emptiness) and a free
-        factor for each variable no conjunct mentions."""
+        """x's set: `top` restricted by each top-level conjunct of x in turn,
+        so the conjuncts that share variables land in one factor, a ground
+        conjunct keeps the set or empties it, and a variable no conjunct
+        mentions keeps its free factor.  Unlike restrict it fixes no
+        constant: the set alone does not change the rank memo's keys."""
         if isinstance(x, DloSet):
             return x
         extra = free_vars(x) - set(self.obj_vars)
         if extra:
             raise DloError(f"free variables {sorted(extra)} outside the context sort")
-        conjuncts, groups, ground = [x], [], []
+        s, conjuncts = self._top, [x]
         while conjuncts:
             f = conjuncts.pop()
             if isinstance(f, And):
                 conjuncts += (f.right, f.left)
-                continue
-            group, parts = {self.obj_vars.index(v) for v in free_vars(f)}, [f]
-            if not group:
-                ground.append(f)
-                continue
-            for g in [g for g in groups if g[0] & group]:
-                groups.remove(g)
-                group |= g[0]
-                parts += g[1]
-            groups.append((group, parts))
-        if ground and not order_diagrams(conj_all(ground), ()):
-            return self._empty
-        factors = dict(enumerate(self._top.factors))
-        for group, parts in groups:
-            group, f = tuple(sorted(group)), conj_all(parts)
-            names = [self.obj_vars[i] for i in group]
-            cells = (_cell(d, names, len(group) + 1) for d in order_diagrams(f, names))
-            for i in group:
-                del factors[i]
-            factors[group[0]] = Factor(group, tuple(sorted(constants_of(f))), tuple(cells))
-        if not all(f.cells for f in factors.values()):
-            return self._empty
-        return DloSet(tuple(factors[i] for i in sorted(factors)))
+            else:
+                s = self._partition(s, self.obj_vars, *_decision(f, self.obj_vars))[1]
+        return s
 
     def _fix(self, consts):
-        self._fixed = tuple(sorted(consts.union(self._fixed)))
+        if not consts.issubset(self._fixed):  # the same tuple keeps cached keys
+            self._fixed = tuple(sorted(consts.union(self._fixed)))
 
     def _instance_body(self, phi: PartitionedFormula, params):
-        """The lifted instance body, its constants' lifted names and values
-        (sorted), whether it quantifies, and the indices of the variables it
-        mentions."""
+        """phi's instance at params as `_partition` reads it (see `_decision`)."""
         key = (phi, tuple(params))
         if key not in self._bodies:
-            if phi not in self._mentions:
-                if len(phi.obj_vars) != self.arity:
-                    raise DloError("formula object sort does not match the context")
-                self._fix(constants_of(phi.body))
-                free = free_vars(phi.body)
-                self._mentions[phi] = frozenset(
-                    i for i, v in enumerate(phi.obj_vars) if v in free)
+            if len(phi.obj_vars) != self.arity:
+                raise DloError("formula object sort does not match the context")
+            self._fix(constants_of(phi.body))
             body = phi.instantiate(tuple(map(Fraction, params)))
-            consts = tuple(sorted(constants_of(body)))
-            self._bodies[key] = (_lift(body), tuple(map(_cname, consts)), consts,
-                                 _quantified(body), self._mentions[phi])
+            self._bodies[key] = _decision(body, phi.obj_vars)
         return self._bodies[key]
 
     def restrict(self, s, phi, params, sign):
@@ -937,19 +898,19 @@ class DloContext(Context):
         """For each candidate b, in order and lazily, whether phi(p, b)
         holds at each point p.  phi's constants, the points' coordinates
         and the values of the candidates (a sequence: it is read twice) are
-        ranked once, and phi's lifted body (quantifiers eliminated first) is
-        decided on the ranks, as restrict decides atoms on positions."""
-        body = qe_dlo(phi.body) if _quantified(phi.body) else phi.body
-        consts = constants_of(body)
+        ranked once, and phi's lifted body is decided on the ranks, as
+        restrict decides it on cell positions."""
+        consts = constants_of(phi.body)
         rank = {v: i for i, v in enumerate(sorted(consts.union(*points, *candidates)))}
-        lifted, env = _lift(body), {_cname(c): rank[c] for c in consts}
+        lifted, env = _lift(phi.body), {_cname(c): rank[c] for c in consts}
+        memo, quantified = {}, _quantified(phi.body)
         points = [tuple(zip(phi.obj_vars, (rank[v] for v in p), strict=True)) for p in points]
         for b in candidates:
             env.update(zip(phi.param_vars, (rank[v] for v in b), strict=True))
             row = []
             for p in points:
                 env.update(p)
-                row.append(evaluate_q(lifted, env))
+                row.append(_holds(lifted, env, memo) if quantified else evaluate_q(lifted, env))
             yield row
 
 

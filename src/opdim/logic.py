@@ -321,17 +321,20 @@ def structure_to_dict(m: FiniteStructure):
 
 
 def structure_from_dict(d):
-    sig = Signature(
-        relations=tuple((r["name"], r["arity"]) for r in d["signature"]["relations"]),
-        constants=tuple(d["signature"].get("constants", ())),
-    )
-    return FiniteStructure(
-        sig,
-        tuple(d["universe"]),
-        {n: {tuple(t) for t in tab} for n, tab in d.get("relations", {}).items()},
-        dict(d.get("constants", {})),
-        allow_empty=not d["universe"],
-    )
+    try:
+        sig = Signature(
+            relations=tuple((r["name"], r["arity"]) for r in d["signature"]["relations"]),
+            constants=tuple(d["signature"].get("constants", ())),
+        )
+        return FiniteStructure(
+            sig,
+            tuple(d["universe"]),
+            {n: {tuple(t) for t in tab} for n, tab in d.get("relations", {}).items()},
+            dict(d.get("constants", {})),
+            allow_empty=not d["universe"],
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise LogicError(f"malformed structure document: {exc}") from exc
 
 
 def load_structure(path):

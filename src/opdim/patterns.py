@@ -71,18 +71,6 @@ class ICTPattern(IRDPattern):
     pass
 
 
-def pattern_from_json(doc, context, signature, base, value_parser,
-                      cls=IRDPattern):
-    """Rebuild a pattern from its JSON document; value_parser turns a witness
-    string back into a parameter value."""
-    from .logic import parse_partitioned
-    formulas = tuple(parse_partitioned(text, signature) for text in doc["formulas"])
-    witnesses = tuple(
-        tuple(tuple(value_parser(v) for v in w) for w in row)
-        for row in doc["witnesses"])
-    return cls(context, base, formulas, witnesses)
-
-
 def _selector_space(depth, length, bound):
     if depth and length ** depth > bound:
         raise BudgetExceededError(
@@ -109,10 +97,12 @@ def _joint(rows, selector):
 
 
 def _check(pattern, row_constraints, selector_bound):
+    # the bound first: the rows' signed lists grow as depth * length^2
+    selectors = _selector_space(pattern.depth, pattern.length, selector_bound)
     s = pattern.context.to_set(pattern.base)
     rows = [_signed_rows(row_constraints, psi, row, pattern.length)
             for psi, row in zip(pattern.formulas, pattern.witnesses)]
-    for f in _selector_space(pattern.depth, pattern.length, selector_bound):
+    for f in selectors:
         if pattern.context.sat(s, _joint(rows, f)) is None:
             return False, f
     return True, None

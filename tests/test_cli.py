@@ -618,6 +618,18 @@ def test_input_error_exits_2(capsys, bad_files, argv):
     assert code == 2 and out == "" and err.startswith("error (input): ")
 
 
+@pytest.mark.parametrize("doc", [
+    [],
+    {"signature": {"relations": 5}, "universe": [1]},
+    {"signature": {"relations": []}, "universe": [[1], [2]]},
+], ids=("not_object", "relations_not_list", "universe_of_lists"))
+def test_malformed_structure_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "rank", str(path), "--delta", "x;y:x=y")
+    assert code == 2 and out == "" and "malformed structure document" in err
+
+
 def test_symbolic_grid_budget_names_its_sizes(capsys):
     # constants 1..4 give a 9-point grid, and 5 parameters 9^5 tuples
     code, out, err = run(capsys, "rank", "dlo", "--delta",

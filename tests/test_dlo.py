@@ -17,7 +17,7 @@ from opdim import (
 )
 from opdim import dlo
 from opdim.dlo import (
-    DloSet, Factor, OrderDiagram, _cell, _uncell, constants_of, enumerate_diagrams,
+    DloSet, Factor, OrderDiagram, constants_of, enumerate_diagrams,
 )
 from opdim.ranks import RankQuery, gamma_consistent, op_rank, shelah_rank2
 from opdim.logic import Elem, PartitionedFormula, conj_all, evaluate, free_vars, signed
@@ -44,6 +44,24 @@ def assert_equivalent(f, g, count=1000, seed=0):
     consts = constants_of(f) | constants_of(g)
     for env in sample_envs(variables, consts, count, seed):
         assert evaluate_q(f, env) == evaluate_q(g, env), env
+
+
+def _cell(diagram, variables, stride):
+    """The integer form (see Factor) of an order diagram over k variables;
+    stride is k+1."""
+    at, gap, j = {}, 0, 0
+    for vs, c in diagram.blocks:
+        gap, j = (gap, j + 1) if c is None else (gap + 1, 0)
+        at.update(dict.fromkeys(vs, gap * stride + j))
+    return tuple(at[v] for v in variables)
+
+
+def _uncell(cell, consts, variables, stride):
+    """The order diagram over `consts` of an integer cell."""
+    places = sorted(set(cell).union(range(stride, stride * len(consts) + 1, stride)))
+    return OrderDiagram(tuple(
+        (frozenset(v for v, q in zip(variables, cell) if q == p),
+         None if p % stride else consts[p // stride - 1]) for p in places))
 
 
 def random_qf_formula(rng, variables, consts, depth=3, rel="<", const=lambda c: Rat(Q(c))):
@@ -650,6 +668,97 @@ def test_factors_agree_with_the_diagrams_of_the_conjunction():
             env = dict(zip(ctx.obj_vars, ctx.pick(s)))
             assert all(evaluate_q(g, env) for g in [f] + free), (case, f, bodies, env)
     assert factored > 25 and joins > 10  # the cases do factor and join
+
+
+def random_quantified_formula(rng, variables, consts, depth=3):
+    """A random formula over `variables` and `consts` that quantifies now
+    and then, over a fresh variable or over one of `variables`, which the
+    bound variable then shadows; constants appear under the quantifiers."""
+    if depth and rng.random() < 0.4:
+        v = rng.choice(list(variables) + ["z", "u"])
+        scope = sorted(set(variables) | {v})
+        return rng.choice((Exists, Forall))(v, random_quantified_formula(rng, scope, consts,
+                                                                         depth - 1))
+    if depth and rng.random() < 0.5:
+        cls = rng.choice((And, Or, Imp))
+        return cls(random_quantified_formula(rng, variables, consts, depth - 1),
+                   random_quantified_formula(rng, variables, consts, depth - 1))
+    if depth and rng.random() < 0.2:
+        return Not(random_quantified_formula(rng, variables, consts, depth - 1))
+    return random_qf_formula(rng, variables, consts, depth=1)
+
+
+def test_quantified_bodies_are_decided_as_their_qe_form():
+    # traces and to_set decide a quantified body on positions, with no
+    # quantifier elimination: they must answer as on the qe_dlo form
+    rng = random.Random(97)
+    quantified = 0
+    for case in range(250):
+        ctx = DloContext(rng.randint(1, 2))
+        params = ("w",)[:rng.randint(0, 1)]
+        consts = sorted({Q(rng.randint(-2, 2), rng.choice((1, 2)))
+                         for _ in range(rng.randint(0, 2))})
+        body = random_quantified_formula(rng, ctx.obj_vars + params, consts)
+        quantified += dlo._quantified(body)
+        phi, free = (PartitionedFormula(b, ctx.obj_vars, params) for b in (body, qe_dlo(body)))
+        pool = sorted(set(consts) | {Q(v, 2) for v in range(-5, 6)})
+        candidates = [tuple(rng.choice(pool) for _ in params) for _ in range(rng.randint(1, 4))]
+        points = [tuple(rng.choice(pool) for _ in ctx.obj_vars) for _ in range(6)]
+        assert list(ctx.traces(phi, points, candidates)) == \
+            list(ctx.traces(free, points, candidates)), (case, body)
+        if not params:
+            got, want = (ctx.to_set(b).joined().normal_form() for b in (body, free.body))
+            assert (got.consts, set(got.cells)) == (want.consts, set(want.cells)), (case, body)
+    assert quantified > 150
+
+
+def conjunct_groups(f, variables):
+    """The groups of variables that f's top-level conjuncts link, each
+    variable no conjunct mentions alone, ordered by least variable."""
+    groups, conjuncts = [{i} for i in range(len(variables))], [f]
+    while conjuncts:
+        g = conjuncts.pop()
+        if isinstance(g, And):
+            conjuncts += (g.left, g.right)
+            continue
+        linked = {variables.index(v) for v in free_vars(g)}
+        hit = [group for group in groups if group & linked]
+        groups = [group for group in groups if not group & linked] + [set().union(*hit)]
+    return sorted(tuple(sorted(group)) for group in groups if group)
+
+
+def test_to_set_folds_the_conjuncts_into_linked_factors():
+    ctx = DloContext(4)
+    s = ctx.to_set(parse_formula("0 < 1 & x0 < 1"))
+    assert [(f.group, f.consts) for f in s.factors] == \
+        [((0,), (Q(1),)), ((1,), ()), ((2,), ()), ((3,), ())]
+    assert ctx.is_empty(ctx.to_set(parse_formula("1 < 0 & x0 = x0")))
+    # a quantified conjunct links the variables free in it; x2 stays free
+    s = ctx.to_set(parse_formula("x0 < 1 & (exists x0. x1 < x0 & x0 < x3) & 2 < x3"))
+    assert [f.group for f in s.factors] == [(0,), (1, 3), (2,)]
+    assert s.factors[1].consts == (Q(2),)
+    # conjuncts chained across shared variables land in one factor
+    rng = random.Random(89)
+    for case in range(150):
+        ctx = DloContext(rng.randint(1, 4))
+        consts = sorted({Q(rng.randint(-2, 2)) for _ in range(rng.randint(1, 2))})
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            names = rng.sample(ctx.obj_vars, rng.randint(0, min(2, ctx.arity)))
+            parts.append(rng.choice((random_qf_formula, random_quantified_formula))(
+                rng, names, consts, 1))
+        while len(parts) > 1:
+            i = rng.randrange(len(parts) - 1)
+            parts[i:i + 2] = [And(parts[i], parts[i + 1])]
+        f = parts[0]
+        s = ctx.to_set(f)
+        want = {_cell(d, ctx.obj_vars, ctx.arity + 1) for d in order_diagrams(f, ctx.obj_vars)}
+        if not want:
+            assert ctx.is_empty(s), (case, f)
+            continue
+        assert [g.group for g in s.factors] == conjunct_groups(f, ctx.obj_vars), (case, f)
+        assert refined_cells(s.joined(), sorted(constants_of(f)), ctx.obj_vars) == want, \
+            (case, f)
 
 
 def test_restrict_splits_only_the_factor_it_mentions(monkeypatch):

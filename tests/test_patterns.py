@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdim import (
-    And, BudgetExceededError, DLO_SIGNATURE, DloContext, FiniteContext, ICTPattern,
+    And, BudgetExceededError, DloContext, FiniteContext, ICTPattern,
     IRDPattern, Imp, Not, PatternError, RankQuery, alternation, check_ict,
     check_ird, dp_rank_lower, evaluate, ird_from_alternation, ird_to_ict,
     parse_partitioned, search_ict, search_ird, shelah_rank2,
 )
 from opdim.logic import parity_combine
-from opdim.patterns import pattern_from_json
+from opdim import patterns
 
 from conftest import chain, equality_structure
 
@@ -79,6 +79,17 @@ def test_check_ict_depth_zero_vacuous():
 
 
 def test_checker_selector_space_bound():
+    ctx, top = dlo1()
+    p = IRDPattern(ctx, top, (X_LT_W,) * 4, (row(0, 1, 2),) * 4)
+    with pytest.raises(BudgetExceededError):
+        check_ird(p, selector_bound=50)
+
+
+def test_checker_bound_comes_before_the_signed_rows(monkeypatch):
+    # an over-bound check builds none of its depth * length^2 signed constraints
+    def unreachable(*args):
+        raise AssertionError("signed rows built before the selector bound")
+    monkeypatch.setattr(patterns, "_signed_rows", unreachable)
     ctx, top = dlo1()
     p = IRDPattern(ctx, top, (X_LT_W,) * 4, (row(0, 1, 2),) * 4)
     with pytest.raises(BudgetExceededError):
@@ -352,25 +363,9 @@ def test_ird_from_alternation_two_runs_depth_one():
     assert check_ird(p) == (True, None)
 
 
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def test_pattern_json_round_trip_symbolic():
+def test_pattern_to_json_symbolic():
     ctx, top = dlo1()
-    p = IRDPattern(ctx, top, (X_LT_W,), (row(0, Fraction(1, 2)),))
-    doc = p.to_json()
+    doc = IRDPattern(ctx, top, (X_LT_W,), (row(0, Fraction(1, 2)),)).to_json()
     assert doc["depth"] == 1 and doc["length"] == 2
+    assert doc["formulas"] == ["x0 ; w : x0 < w"]
     assert doc["witnesses"] == [[["0"], ["1/2"]]]
-    again = pattern_from_json(doc, ctx, DLO_SIGNATURE, top, Fraction)
-    assert again.formulas == p.formulas and again.witnesses == p.witnesses
-
-
-def test_pattern_json_round_trip_finite():
-    m = chain(4)
-    ctx = FiniteContext(m)
-    lt = parse_partitioned("x ; y : x < y")
-    p = IRDPattern(ctx, ctx.top(1), (lt,), (((1,), (3,)),))
-    doc = p.to_json()
-    again = pattern_from_json(doc, ctx, m.signature, ctx.top(1), int)
-    assert again.witnesses == p.witnesses and check_ird(again)[0]
