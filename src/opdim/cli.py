@@ -132,8 +132,13 @@ def emit(report, fmt):
         sys.stdout.write(f"hash: {report['hash']}\n")
 
 
-def _config(args, keys):
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+# parsed values that name, route or format a command rather than configure it
+_NOT_CONFIG = frozenset({"command", "mo_command", "omin_command", "run", "format", "context"})
+
+
+def _config(args):
+    """A report's config: every other parsed value that is not None."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG and v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +302,7 @@ def build_parser():
     p.add_argument("--subset", default=None)
     p.add_argument("--shelah", action="store_true")
     _add_common(p)
-    p.set_defaults(run=cmd_rank, config_keys=("cap", "n", "delta", "subset", "shelah"))
+    p.set_defaults(run=cmd_rank)
 
     p = sub.add_parser("opdim", help="localized op-dimension")
     p.add_argument("context")
@@ -305,15 +310,14 @@ def build_parser():
     p.add_argument("--subset", default=None)
     p.add_argument("--max-n", dest="max_n", type=int, default=8)
     _add_common(p)
-    p.set_defaults(run=cmd_opdim, config_keys=("cap", "delta", "subset", "max_n"))
+    p.set_defaults(run=cmd_opdim)
 
     p = sub.add_parser("dprank", help="dp-rank lower bound by pattern search")
     p.add_argument("context")
     p.add_argument("--pool", action="append", required=True)
     p.add_argument("--subset", default=None)
     _add_common(p, grid=True, budget=True, length=True)
-    p.set_defaults(run=cmd_dprank,
-                   config_keys=("cap", "pool", "subset", "length", "grid", "budget"))
+    p.set_defaults(run=cmd_dprank)
 
     for name in ("ird", "ict"):
         p = sub.add_parser(name, help=f"{name} pattern search or verification")
@@ -323,8 +327,7 @@ def build_parser():
         p.add_argument("--subset", default=None)
         p.add_argument("--check", default=None, help="verify a pattern JSON file")
         _add_common(p, cap=False, grid=True, budget=True, length=True)
-        p.set_defaults(run=cmd_pattern, config_keys=("pool", "depth", "subset", "length",
-                                                     "grid", "budget", "check"))
+        p.set_defaults(run=cmd_pattern)
 
     p = sub.add_parser("mo", help="multi-order operations")
     mo_sub = p.add_subparsers(dest="mo_command", required=True)
@@ -333,26 +336,25 @@ def build_parser():
     q.add_argument("--size", type=int, required=True)
     q.add_argument("--seed", type=int, default=0)
     _add_common(q, cap=False)
-    q.set_defaults(run=cmd_mo, config_keys=("n", "size", "seed"))
+    q.set_defaults(run=cmd_mo)
     for name in ("cuts", "embed", "extcheck"):
         q = mo_sub.add_parser(name)
         q.add_argument("file")
         if name == "extcheck":
             q.add_argument("-k", type=int, default=1)
         _add_common(q, cap=False)
-        q.set_defaults(run=cmd_mo,
-                       config_keys=("file", "k") if name == "extcheck" else ("file",))
+        q.set_defaults(run=cmd_mo)
     q = mo_sub.add_parser("amalgamate")
     q.add_argument("file", help="multi-order B")
     q.add_argument("other", help="multi-order C; shared element names form A")
     _add_common(q, cap=False)
-    q.set_defaults(run=cmd_mo, config_keys=("file", "other"))
+    q.set_defaults(run=cmd_mo)
     q = mo_sub.add_parser("moptest")
     q.add_argument("file")
     q.add_argument("--host", default="dlo")
     q.add_argument("--phi", default="x0 ; y : x0 < y")
     _add_common(q, cap=False, budget=True)
-    q.set_defaults(run=cmd_mo, config_keys=("file", "host", "phi", "budget"))
+    q.set_defaults(run=cmd_mo)
 
     p = sub.add_parser("omin", help="symbolic dense-order operations")
     omin_sub = p.add_subparsers(dest="omin_command", required=True)
@@ -360,26 +362,26 @@ def build_parser():
         q = omin_sub.add_parser(name)
         q.add_argument("formula")
         _add_common(q, cap=False)
-        q.set_defaults(run=cmd_omin, config_keys=("formula",))
+        q.set_defaults(run=cmd_omin)
     q = omin_sub.add_parser("dim")
     q.add_argument("formula")
     q.add_argument("-m", type=int, required=True)
     q.add_argument("--method", choices=("diagram", "projection", "both"),
                    default="both")
     _add_common(q, cap=False)
-    q.set_defaults(run=cmd_omin, config_keys=("formula", "m", "method"))
+    q.set_defaults(run=cmd_omin)
     q = omin_sub.add_parser("irdwitness")
     q.add_argument("formula")
     q.add_argument("-m", type=int, required=True)
     _add_common(q, cap=False, length=True)
-    q.set_defaults(run=cmd_omin, config_keys=("formula", "m", "length"))
+    q.set_defaults(run=cmd_omin)
     q = omin_sub.add_parser("prodcheck")
     q.add_argument("formula")
     q.add_argument("other")
     q.add_argument("-m", type=int, required=True, help="variable count of the left factor")
     q.add_argument("-m1", type=int, required=True, help="variable count of the right factor")
     _add_common(q, cap=False)
-    q.set_defaults(run=cmd_omin, config_keys=("formula", "other", "m", "m1"))
+    q.set_defaults(run=cmd_omin)
 
     return parser
 
@@ -407,7 +409,7 @@ def main(argv=None):
     command = [args.command] + [getattr(args, k) for k in
                                 ("mo_command", "omin_command")
                                 if getattr(args, k, None)]
-    report = make_report(command, _config(args, args.config_keys), result, elapsed)
+    report = make_report(command, _config(args), result, elapsed)
     emit(report, args.format)
     return EXIT_OK
 

@@ -385,10 +385,15 @@ def _holds(f, env, memo):
 
 def order_diagrams(f, variables=None, extra_consts=()):
     """The complete consistent diagrams over `variables` (which must hold
-    f's free variables) and the constants of f that satisfy the formula f,
-    quantifiers allowed; their union is exactly the set f defines."""
+    f's free variables: DloError names one it lacks) and the constants of f
+    that satisfy the formula f, quantifiers allowed; their union is exactly
+    the set f defines."""
+    free = free_vars(f)
     if variables is None:
-        variables = sorted(free_vars(f))
+        variables = sorted(free)
+    unbound = sorted(free.difference(variables))
+    if unbound:
+        raise DloError(f"unbound variable {unbound[0]}")
     consts = constants_of(f) | set(extra_consts)
     lifted, memo = _lift(f), {}
     return [d for d in enumerate_diagrams(variables, consts)

@@ -145,6 +145,12 @@ def ird_to_ict(pattern: IRDPattern) -> ICTPattern:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A search's budget bounds its selector checks, one satisfiability
+    query each.  "found": `pattern` is the first valid pattern in pool and
+    grid order; "none_exhaustive": every candidate was checked and none is
+    valid; "none_budget": the checks ran out first, and `checks_used` reads
+    budget + 1.  `pattern` is None unless found."""
+
     status: str          # "found" | "none_exhaustive" | "none_budget"
     pattern: object
     checks_used: int
@@ -154,130 +160,98 @@ class SearchResult:
         return self.status == "found"
 
 
-class _Budget:
-    def __init__(self, limit):
-        if limit is not None and limit < 0:
-            raise PatternError("the budget must be nonnegative")
-        self.limit = limit
-        self.used = 0
-        self.exhausted = False
-
-    def spend(self):
-        self.used += 1
-        if self.limit is not None and self.used > self.limit:
-            self.exhausted = True
-            return False
-        return True
+class _BudgetSpent(Exception):
+    """A search asked for one check more than its budget allows."""
 
 
 def _witness_space(context, psi, witness_grid):
     if witness_grid is None:
         return context.witness_params(psi)
     k = len(psi.param_vars)
-    out = []
-    for w in witness_grid:
-        if not isinstance(w, tuple):
-            w = (w,)
-        if len(w) == k:
-            out.append(w)
+    grid = (w if isinstance(w, tuple) else (w,) for w in witness_grid)
+    out = [w for w in grid if len(w) == k]
     if not out:
         raise PatternError(f"the witness grid has no entry of {k} parameters")
     return out
 
 
-def _search(context, base, pool, depth, length, witness_grid, budget_limit,
+def _search(context, base, pool, depth, length, witness_grid, budget,
             row_constraints, pattern_cls):
+    """The first pattern of `depth` rows and `length` witnesses in pool and
+    grid order.  Each row is a pool formula with a witness sequence that is
+    valid alone; rows are then combined in index order, pruned by pairwise
+    checks, and a combination is valid when its joint check passes.  The
+    search stops with "none_budget" at the check after the `budget`-th."""
     if depth < 0 or length < 0:
         raise PatternError("depth and length must be nonnegative")
     s = context.to_set(base)
-    budget = _Budget(budget_limit)
+    if budget is not None and budget < 0:
+        raise PatternError("the budget must be nonnegative")
+    used = 0
 
     def joint_ok(lists):
         """Whether every selector over rows with these signed lists is
-        consistent; None once the budget runs out."""
+        consistent; raises _BudgetSpent at the check past the budget."""
+        nonlocal used
         for f in _selector_space(len(lists), length, SELECTOR_BOUND):
-            if not budget.spend():
-                return None
+            used += 1
+            if budget is not None and used > budget:
+                raise _BudgetSpent
             if context.sat(s, _joint(lists, f)) is None:
                 return False
         return True
 
     # rows[i] = (psi, witnesses); signed[i][v] = its constraints at selector value v
     rows, signed = [], []
-
-    def found(chosen):
-        pattern = pattern_cls(context, base, tuple(rows[i][0] for i in chosen),
-                              tuple(rows[i][1] for i in chosen))
-        return SearchResult("found", pattern, budget.used)
-
-    if depth == 0:
-        # the empty pattern: its one selector is consistent iff the base is nonempty
-        verdict = joint_ok([])
-        if verdict is None:
-            return SearchResult("none_budget", None, budget.used)
-        if verdict:
-            return found([])
-        return SearchResult("none_exhaustive", None, budget.used)
-
-    for psi in pool:
-        space = _witness_space(context, psi, witness_grid)
-        if length == 0:
-            # with no witnesses every selector would be vacuously consistent
-            raise PatternError("a pattern with formulas needs witnesses")
-        for seq in itertools.product(space, repeat=length):
-            lists = _signed_rows(row_constraints, psi, seq, length)
-            verdict = joint_ok([lists])
-            if verdict is None:
-                return SearchResult("none_budget", None, budget.used)
-            if verdict:
-                rows.append((psi, seq))
-                signed.append(lists)
-
-    if depth == 1:
-        if rows:
-            return found([0])
-        return SearchResult("none_exhaustive", None, budget.used)
-
     # any two rows of a valid pattern form a valid pattern, so rows failing
     # the pairwise check can be pruned before the joint leaf check
     pair_cache = {}
 
     def pair_ok(i, k):
         if (i, k) not in pair_cache:
-            verdict = joint_ok([signed[i], signed[k]])
-            if verdict is None:
-                return None
-            pair_cache[(i, k)] = verdict
+            pair_cache[(i, k)] = joint_ok([signed[i], signed[k]])
         return pair_cache[(i, k)]
 
     def extend(start, chosen):
         """The first valid extension of `chosen` to `depth` rows from `start`
-        on, False when there is none, None once the budget runs out."""
+        on, or None when there is none."""
         if len(chosen) == depth:
-            verdict = joint_ok([signed[i] for i in chosen])
-            return chosen if verdict else verdict
+            return chosen if joint_ok([signed[i] for i in chosen]) else None
         for k in range(start, len(rows)):
-            compatible = True
-            for j in chosen:
-                p = pair_ok(j, k)
-                if p is None:
-                    return None
-                if not p:
-                    compatible = False
-                    break
-            if not compatible:
-                continue
-            deeper = extend(k + 1, chosen + [k])
-            if deeper is None or deeper:
-                return deeper
-        return False
+            if all(pair_ok(j, k) for j in chosen):
+                deeper = extend(k + 1, chosen + [k])
+                if deeper is not None:
+                    return deeper
+        return None
 
-    outcome = extend(0, [])
-    if outcome is None:
-        return SearchResult("none_budget", None, budget.used)
-    if outcome:
-        return found(outcome)
-    return SearchResult("none_exhaustive", None, budget.used)
+    def first_pattern():
+        """The indices into `rows` of the first valid pattern, or None."""
+        if depth == 0:
+            # the empty pattern: its one selector is consistent iff the base is nonempty
+            return [] if joint_ok([]) else None
+        for psi in pool:
+            space = _witness_space(context, psi, witness_grid)
+            if length == 0:
+                # with no witnesses every selector would be vacuously consistent
+                raise PatternError("a pattern with formulas needs witnesses")
+            for seq in itertools.product(space, repeat=length):
+                lists = _signed_rows(row_constraints, psi, seq, length)
+                if joint_ok([lists]):
+                    rows.append((psi, seq))
+                    signed.append(lists)
+        if depth == 1:
+            # every collected row is already a checked pattern of depth 1
+            return [0] if rows else None
+        return extend(0, [])
+
+    try:
+        chosen = first_pattern()
+        status = "none_exhaustive" if chosen is None else "found"
+    except _BudgetSpent:
+        chosen, status = None, "none_budget"
+    pattern = None if chosen is None else pattern_cls(
+        context, base, tuple(rows[i][0] for i in chosen), tuple(rows[i][1] for i in chosen))
+    return SearchResult(status, pattern, used)
 
 
 def search_ird(context, base, pool, depth, length=3, witness_grid=None,
@@ -303,13 +277,11 @@ def dp_rank_lower(context, base, pool, cap, length=3, witness_grid=None,
     if context.is_empty(context.to_set(base)):
         # every selector fails on an empty base, which would read as dp-rank 0
         raise InconsistentTypeError("the base type has no realizations")
-    best = 0
-    for depth in range(1, cap + 1):
-        result = search_ict(context, base, pool, depth, length, witness_grid, budget)
-        if not result.found:
-            break
-        best = depth
-    return best
+    depth = 0
+    while depth < cap and search_ict(context, base, pool, depth + 1, length,
+                                     witness_grid, budget).found:
+        depth += 1
+    return depth
 
 
 # ---------------------------------------------------------------------------

@@ -83,14 +83,6 @@ class _RankEngine:
         self.n = n
         self.memo = {}
 
-    def instances(self, s):
-        ctx = self.context
-        out = []
-        for phi in self.delta:
-            for params in ctx.instance_candidates(phi, s):
-                out.append((phi, params))
-        return out
-
     def at_least(self, s, r):
         if r == 0:
             return True
@@ -103,24 +95,22 @@ class _RankEngine:
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        cells_per_split = 1 << self.n
+        instances = [(phi, params) for phi in self.delta
+                     for params in ctx.instance_candidates(phi, s)]
         result = False
-        for choice in itertools.combinations_with_replacement(self.instances(s), self.n):
+        for choice in itertools.combinations_with_replacement(instances, self.n):
             cells = []
-            ok = True
             for sigma in itertools.product((1, 0), repeat=self.n):
                 cell = s
                 for (phi, params), bit in zip(choice, sigma):
                     cell = ctx.restrict(cell, phi, params, bit)
                 if ctx.is_empty(cell):
-                    ok = False
                     break
                 cells.append(cell)
-            if not ok or len(cells) != cells_per_split:
-                continue
-            if all(self.at_least(cell, r - 1) for cell in cells):
-                result = True
-                break
+            else:
+                if all(self.at_least(cell, r - 1) for cell in cells):
+                    result = True
+                    break
         self.memo[key] = result
         return result
 
@@ -230,15 +220,13 @@ def gamma_consistent(context, subset, phi, n, beta, node_bound=4096):
             return True
         for choice in itertools.product(context.instance_candidates(phi, cur),
                                         repeat=n):
-            ok = True
             for sigma in itertools.product((0, 1), repeat=n):
                 child = cur
                 for i in range(n):
                     child = context.restrict(child, phi, choice[i], sigma[i])
                 if not solve(prefix + (sigma,), child, level + 1):
-                    ok = False
                     break
-            if ok:
+            else:
                 witness.params[prefix] = tuple(choice)
                 return True
         return False
@@ -257,18 +245,12 @@ def op_dimension(context, subset, delta_pool, cap=6, max_n=8):
     0 when no rank does (the stable case)."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    best = 0
-    for n in range(1, max_n + 1):
-        hit = False
-        for delta in delta_pool:
-            rv = op_rank(RankQuery(context, subset, tuple(delta), n=n, cap=cap))
-            if rv.capped:
-                hit = True
-                break
-        if not hit:
-            break
-        best = n
-    return best
+    n = 0
+    while n < max_n and any(
+            op_rank(RankQuery(context, subset, tuple(delta), n=n + 1, cap=cap)).capped
+            for delta in delta_pool):
+        n += 1
+    return n
 
 
 def localized_opd(context, subset, delta, cap=6, max_n=8):

@@ -262,6 +262,13 @@ def test_diagram_count_one_variable_one_constant():
     assert len(diags) == 3
 
 
+@pytest.mark.parametrize("text", ["x < 1", "exists y. x < y"])
+def test_order_diagrams_names_an_unbound_variable(text):
+    # a free variable missing from `variables` is reported, quantifiers or not
+    with pytest.raises(DloError, match="unbound variable x"):
+        order_diagrams(parse_formula(text), [])
+
+
 def test_diagrams_partition_the_formula():
     rng = random.Random(17)
     for case in range(15):

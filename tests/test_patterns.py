@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -189,6 +191,39 @@ def test_search_depth_monotone():
         result = search_ird(ctx, top, [X0_LT_W, X1_LT_W], depth=depth,
                             length=2, witness_grid=GRID1)
         assert result.found
+
+
+def _budget_sweep_cases():
+    """Searches on Q^1 and Q^2 over a 3-point grid and on a 4-element chain,
+    with pools whose IRD and ICT searches find patterns and exhaust."""
+    q1, q2 = DloContext(1), DloContext(2)
+    finite = FiniteContext(chain(4))
+    yield q1, q1.top(), [X_LT_W, parse_partitioned("x0 ; w : x0 = w")], GRID1
+    yield q2, q2.top(), [X0_LT_W, X1_LT_W], GRID1
+    yield finite, finite.top(1), [parse_partitioned("x ; y : x < y"),
+                                  parse_partitioned("x ; y : x = y")], None
+
+
+def test_search_budget_sweep_pinned():
+    # every budget from 0 to one past the unbudgeted count: the status, the
+    # count and the pattern at each cut-off, pinned by a digest
+    entries = []
+    for ctx, base, pool, grid in _budget_sweep_cases():
+        for search in (search_ird, search_ict):
+            for depth in (0, 1, 2):
+                full = search(ctx, base, pool, depth, length=2, witness_grid=grid)
+                for budget in range(full.checks_used + 2):
+                    r = search(ctx, base, pool, depth, length=2,
+                               witness_grid=grid, budget=budget)
+                    if budget < full.checks_used:
+                        assert r.status == "none_budget" and r.checks_used == budget + 1
+                    else:
+                        assert (r.status, r.checks_used) == (full.status, full.checks_used)
+                    entries.append((r.status, r.checks_used,
+                                    r.pattern and r.pattern.to_json()))
+    digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
+    assert (len(entries), digest) == (
+        586, "b8cce2f16967901fe382d7a122b25cf0edb9b4d2a15dd9ad91e5ba2f4975eb58")
 
 
 @pytest.mark.parametrize("search", [search_ird, search_ict])
