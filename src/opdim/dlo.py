@@ -2,21 +2,19 @@
 integer positions of its free variables and constants, placed in the order
 of the points they stand for (see `_holds`): an atom compares positions,
 and a quantifier tries its variable on and between the ranked positions of
-the formula it binds, which the homogeneity of (Q,<) makes exact.  Order
-diagrams feed it their block indices, for quantifier elimination and cell
-dimension; the context feeds it the positions of its cells and builds no
-order diagram, so the rank and pattern machinery runs over the dense order
-unchanged.  The context holds a subset of Q^k as a product of factors over
+the formula it binds, which the homogeneity of (Q,<) makes exact.  One cell
+algebra holds every set: a subset of Q^k is a product of factors over
 disjoint groups of variables (see `DloSet`), each a set of integer cells
 over its own variables and constants (see `Factor`).  A restrict refines
 and splits only the factor its instance mentions, joining first the
 factors the instance links, and keeps both sign sets in a partition memo;
-`to_set` restricts `top` by each top-level conjunct.  The rank memo keys a
-set, and the candidate grids read it, through the normal form of its
-joined form (`DloSet.joined`, `Factor.normal_form`); restrict, emptiness,
-sat and pick work on the factors as given.  ``sat_sample`` is an
-independent exact-rational satisfiability solver (DNF and order graphs),
-the tests' reference.
+`DloContext.to_set` restricts `top` by each top-level conjunct.  That fold
+gives every query its set: `order_diagrams` lists the cells of its joined
+form as `OrderDiagram`s, `qe_dlo` writes them as a disjunction, `dimension`
+reads the blocks of each factor's cells, and `sat_sample` picks a point.
+The rank memo keys a set, and the candidate grids read it, through the
+normal form of its joined form (`DloSet.joined`, `Factor.normal_form`);
+restrict, emptiness, sat and pick work on the factors as given.
 
 All arithmetic is exact (fractions.Fraction); no floating point anywhere.
 """
@@ -92,230 +90,39 @@ def constants_of(f):
 
 
 # ---------------------------------------------------------------------------
-# Literal-level satisfiability (disjunctive normal form + order graph)
-#
-# Nodes are variables ("v", name) or rational constants ("c", value), and
-# consecutive constants are joined by strict edges.  A conjunct is consistent
-# iff no strict edge and no disequality joins two nodes of one strongly
-# connected component of its <=-graph.
-
-_CONJUNCT_BOUND = 200_000
-
-
-def _term_node(t):
-    if isinstance(t, Var):
-        return ("v", t.name)
-    if isinstance(t, Rat):
-        return ("c", t.value)
-    raise DloError(f"term {t!r} is not symbolic-order material")
-
-
-def _conjuncts(f, neg=False):
-    """Lazily yield DNF conjuncts as frozensets of literals."""
-    if isinstance(f, Atom):
-        a, b = (_term_node(x) for x in f.args)
-        yield frozenset({("le", b, a)}) if neg else frozenset({("lt", a, b)})
-        return
-    if isinstance(f, Eq):
-        a, b = _term_node(f.left), _term_node(f.right)
-        yield frozenset({("ne", a, b)}) if neg else frozenset({("eq", a, b)})
-        return
-    if isinstance(f, Not):
-        yield from _conjuncts(f.sub, not neg)
-        return
-    if isinstance(f, Imp):
-        if neg:
-            for l in _conjuncts(f.left, False):
-                for r in _conjuncts(f.right, True):
-                    yield l | r
-        else:
-            yield from _conjuncts(f.left, True)
-            yield from _conjuncts(f.right, False)
-        return
-    if isinstance(f, (And, Or)):
-        conjunctive = isinstance(f, And) != neg
-        if conjunctive:
-            for l in _conjuncts(f.left, neg):
-                for r in _conjuncts(f.right, neg):
-                    yield l | r
-        else:
-            yield from _conjuncts(f.left, neg)
-            yield from _conjuncts(f.right, neg)
-        return
-    if isinstance(f, Top):
-        if not neg:
-            yield frozenset()
-        return
-    if isinstance(f, Bot):
-        if neg:
-            yield frozenset()
-        return
-    raise DloError(f"cannot normalize {f!r} (quantifier-free only)")
-
-
-def _scc(succ):
-    """Iterative Tarjan over nodes 0..n-1 with successor lists: each node's
-    component id.  A component gets its id only after every component it
-    reaches, so decreasing ids are a topological order."""
-    n = len(succ)
-    index = [None] * n
-    low = [0] * n
-    comp = [None] * n
-    stack = []
-    counter = ncomp = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            node, it = work[-1]
-            for nxt in it:
-                if index[nxt] is None:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    work.append((nxt, iter(succ[nxt])))
-                    break
-                if comp[nxt] is None:  # visited without a component: on the stack
-                    low[node] = min(low[node], index[nxt])
-            else:
-                work.pop()
-                if low[node] == index[node]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = ncomp
-                        if w == node:
-                            break
-                    ncomp += 1
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-    return comp
-
-
-def _solve_conjunct(literals):
-    """A satisfying rational assignment for a conjunct, or None."""
-    nodes = sorted({node for _, a, b in literals for node in (a, b)})
-    at = {node: i for i, node in enumerate(nodes)}
-    succ = [set() for _ in nodes]
-    strict, apart = [], []
-    for kind, a, b in literals:
-        i, j = at[a], at[b]
-        if kind == "ne":
-            apart.append((i, j))
-            continue
-        succ[i].add(j)
-        if kind == "lt":
-            strict.append((i, j))
-        elif kind == "eq":
-            succ[j].add(i)
-    # constants sort first, by value
-    nconsts = sum(1 for kind, _ in nodes if kind == "c")
-    for i in range(nconsts - 1):
-        succ[i].add(i + 1)
-        strict.append((i, i + 1))
-    comp = _scc([sorted(s) for s in succ])
-    if any(comp[i] == comp[j] for i, j in strict + apart):
-        return None
-    members = [[] for _ in range(max(comp, default=-1) + 1)]
-    for node, cid in zip(nodes, comp):
-        members[cid].append(node)
-    blocks = tuple(
-        (frozenset(x for kind, x in block if kind == "v"),
-         next((x for kind, x in block if kind == "c"), None))
-        for block in reversed(members))
-    return OrderDiagram(blocks).sample()
-
-
-def sat_sample(f, bound=_CONJUNCT_BOUND):
-    """A satisfying rational assignment for a quantifier-free formula, or None."""
-    seen = 0
-    for conj in _conjuncts(f):
-        seen += 1
-        if seen > bound:
-            raise BudgetExceededError("disjunctive normal form too large")
-        sample = _solve_conjunct(conj)
-        if sample is not None:
-            return sample
-    return None
-
-
-def satisfiable_q(f):
-    return sat_sample(f) is not None
-
-
-# ---------------------------------------------------------------------------
-# Order diagrams
+# Cells: the listing, elimination and satisfiability queries
 
 
 @dataclass(frozen=True)
 class OrderDiagram:
-    """A complete consistent arrangement of variables and constants: blocks
-    in strictly increasing order; members of a block are equal."""
+    """A cell as `order_diagrams` lists it: a complete consistent arrangement
+    of variables and constants, blocks in strictly increasing order; members
+    of a block are equal."""
 
     blocks: tuple  # ((frozenset_of_var_names, const_value_or_None), ...)
 
-    def free_block_count(self):
-        return sum(1 for vs, c in self.blocks if vs and c is None)
-
-    def project(self, names):
-        """The diagram of the variables in `names` alone: the others dropped,
-        and every block they leave empty."""
-        return OrderDiagram(tuple((vs & names, c) for vs, c in self.blocks
-                                  if c is not None or vs & names))
-
-    def extensions(self, v):
-        """The diagrams adding the variable v: it joins one of the blocks or
-        takes one of the gaps."""
-        blocks = self.blocks
-        for i, (vs, c) in enumerate(blocks):
-            yield OrderDiagram(blocks[:i] + ((vs | {v}, c),) + blocks[i + 1:])
-        for gap in range(len(blocks) + 1):
-            yield OrderDiagram(blocks[:gap] + ((frozenset({v}), None),) + blocks[gap:])
-
     def sample(self):
-        """Rationals for the variables: blocks step by 1 below the first
-        constant and above the last (from block 0 at 0 when there is none),
-        and are evenly spaced between two constants."""
-        anchors = [(i, c) for i, (_, c) in enumerate(self.blocks) if c is not None]
-        anchors = anchors or [(0, Fraction(0))]
-        (i0, c0), (i1, c1) = anchors[0], anchors[-1]
-        values = [c0 - (i0 - i) for i in range(i0)]
-        for (ia, ca), (ib, cb) in zip(anchors, anchors[1:]):
-            values += [ca + (cb - ca) * Fraction(k, ib - ia) for k in range(ib - ia)]
-        values += [c1 + (i - i1) for i in range(i1, len(self.blocks))]
-        return {v: values[i] for i, (vs, _) in enumerate(self.blocks) for v in vs}
+        """Rationals for the variables: the point `DloContext.pick` reads off
+        the cell (see `_point`)."""
+        names = [v for vs, _ in self.blocks for v in vs]
+        stride, gap, j, cell = len(names) + 1, 0, 0, []
+        for vs, c in self.blocks:
+            gap, j = (gap, j + 1) if c is None else (gap + 1, 0)
+            cell += [gap * stride + j] * len(vs)
+        consts = tuple(c for _, c in self.blocks if c is not None)
+        return dict(zip(names, _point(cell, consts, stride)))
 
     def to_formula(self):
-        parts = []
-        reps = []
+        """Each block's variables equal to its constant or to its first
+        variable, then each block's representative below the next one's
+        (two constants compare without an atom)."""
+        parts, reps = [], []
         for vs, c in self.blocks:
             ordered = sorted(vs)
-            if c is not None:
-                reps.append(Rat(c))
-                for v in ordered:
-                    parts.append(Eq(Var(v), Rat(c)))
-            else:
-                rep = Var(ordered[0])
-                reps.append(rep)
-                for v in ordered[1:]:
-                    parts.append(Eq(Var(v), rep))
-        for r1, r2 in zip(reps, reps[1:]):
-            if isinstance(r1, Rat) and isinstance(r2, Rat):
-                continue
-            parts.append(Atom("<", (r1, r2)))
-        return conj_all(parts)
-
-
-def enumerate_diagrams(variables, consts):
-    """All complete arrangements of the variables relative to the constants."""
-    diagrams = [OrderDiagram(tuple((frozenset(), c) for c in sorted(set(consts))))]
-    for v in sorted(variables):
-        diagrams = [e for d in diagrams for e in d.extensions(v)]
-    return diagrams
+            reps.append(Rat(c) if c is not None else Var(ordered.pop(0)))
+            parts += [Eq(Var(v), reps[-1]) for v in ordered]
+        return conj_all(parts + [Atom("<", pair) for pair in zip(reps, reps[1:])
+                                 if not all(isinstance(r, Rat) for r in pair)])
 
 
 _cname = "#{}".format   # the variable name a lifted formula gives a constant
@@ -340,13 +147,6 @@ def _quantified(f):
     if isinstance(f, (Not, And, Or, Imp)):
         return any(map(_quantified, (f.sub,) if isinstance(f, Not) else (f.left, f.right)))
     return isinstance(f, (Exists, Forall))
-
-
-def _positions(d):
-    """Each variable of d, and each constant's `_cname`, at its block's index."""
-    env = {_cname(c): i for i, (_, c) in enumerate(d.blocks) if c is not None}
-    env.update((v, i) for i, (vs, _) in enumerate(d.blocks) for v in vs)
-    return env
 
 
 def _holds(f, env, memo):
@@ -383,33 +183,77 @@ def _holds(f, env, memo):
     return evaluate_q(f, env)
 
 
+def _diagram(cell, consts, names, stride):
+    """The order diagram over `consts` of the variables `names` at integer
+    positions of stride `stride` (see `Factor`); the positions need only be
+    in order, not canonical."""
+    at = {(r + 1) * stride: [] for r in range(len(consts))}
+    for v, q in zip(names, cell):
+        at.setdefault(q, []).append(v)
+    return OrderDiagram(tuple((frozenset(at[p]), None if p % stride else consts[p // stride - 1])
+                              for p in sorted(at)))
+
+
+def _enumeration_key(d):
+    """Where the diagram comes when the variables are added one at a time,
+    in name order, to the constants: each joins a block placed before it,
+    (False, i) for the i-th, or takes a gap between them, (True, g) for the
+    g-th."""
+    at = {v: i for i, (vs, _) in enumerate(d.blocks) for v in vs}
+    placed = {i for i, (_, c) in enumerate(d.blocks) if c is not None}
+    key = []
+    for v in sorted(at):
+        key.append((at[v] not in placed, sum(p < at[v] for p in placed)))
+        placed.add(at[v])
+    return tuple(key)
+
+
 def order_diagrams(f, variables=None, extra_consts=()):
-    """The complete consistent diagrams over `variables` (which must hold
-    f's free variables: DloError names one it lacks) and the constants of f
-    that satisfy the formula f, quantifiers allowed; their union is exactly
-    the set f defines."""
-    free = free_vars(f)
+    """The cells of the set that f defines over `variables` (by default its
+    free variables, sorted; DloError names a free variable they lack),
+    quantifiers allowed: the cells of its joined form (see
+    `DloContext._fold`) refined by the constants of f and `extra_consts`, as
+    order diagrams in enumeration order.  Their union is exactly the set."""
     if variables is None:
-        variables = sorted(free)
-    unbound = sorted(free.difference(variables))
+        variables = sorted(free_vars(f))
+    unbound = sorted(free_vars(f).difference(variables))
     if unbound:
         raise DloError(f"unbound variable {unbound[0]}")
-    consts = constants_of(f) | set(extra_consts)
-    lifted, memo = _lift(f), {}
-    return [d for d in enumerate_diagrams(variables, consts)
-            if _holds(lifted, _positions(d), memo)]
+    joined, stride = DloContext(len(variables))._fold(f, variables).joined(), len(variables) + 1
+    consts, cells, _ = _refine(joined.consts, joined.cells, stride,
+                               sorted(constants_of(f).union(extra_consts)))
+    return sorted((_diagram(cell, consts, variables, stride) for cell in cells),
+                  key=_enumeration_key)
 
 
 def qe_dlo(f):
     """Equivalent quantifier-free formula, normalized to a canonical
-    disjunction of order diagrams over its free variables and constants."""
+    disjunction of order diagrams over its free variables and constants.
+    The whole space has a cell for each merge, blocks allowed to coincide,
+    of the b blocks of one of its constant-free cells with the m constants
+    (`_interleavings(b, m)`), so counting decides it."""
     variables = sorted(free_vars(f))
     diagrams = order_diagrams(f, variables)
     if not diagrams:
         return FALSE
-    if len(diagrams) == len(enumerate_diagrams(variables, constants_of(f))):
+    whole = DloContext(len(variables)).top().joined().cells
+    if len(diagrams) == sum(len(_interleavings(max(c, default=0), len(constants_of(f))))
+                            for c in whole):
         return TRUE
     return disj_all(d.to_formula() for d in diagrams)
+
+
+def sat_sample(f):
+    """A point of the set that f defines, quantifiers allowed, as a value for
+    each free variable (the context's `pick`), or None when it is empty."""
+    variables = sorted(free_vars(f))
+    ctx = DloContext(len(variables))
+    s = ctx._fold(f, variables)
+    return None if ctx.is_empty(s) else dict(zip(variables, ctx.pick(s)))
+
+
+def satisfiable_q(f):
+    return sat_sample(f) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -436,70 +280,76 @@ class DimensionReport:
         }
 
 
-def _coord_vars(m):
-    return tuple(f"x{i}" for i in range(m))
-
-
 def _outside(extra, m):
     """The error for free variables that are not among the m coordinates."""
     where = f"outside x0..x{m - 1}" if m else "but there are no coordinates (m = 0)"
     return DloError(f"free variables {sorted(extra)} {where}")
 
 
-def _box_from_diagram(diag, coords_vars):
-    env = diag.sample()
-    ordered = [env[next(iter(vs))] if vs else c for vs, c in diag.blocks]
-    box = []
-    for v in coords_vars:
-        idx = next(i for i, (vs, _) in enumerate(diag.blocks) if v in vs)
-        val = ordered[idx]
-        lo_anchor = ordered[idx - 1] if idx > 0 else val - 1
-        hi_anchor = ordered[idx + 1] if idx + 1 < len(ordered) else val + 1
-        box.append(((lo_anchor + val) * HALF, (val + hi_anchor) * HALF))
-    return tuple(box)
+def _open_box(factor, consts):
+    """The factor's lexicographically first largest coordinates that one of
+    its cells holds in distinct blocks off the constants, each with an open
+    interval: its value in the sample of the first such cell, in
+    enumeration order, of the cells refined by `consts` and projected to the
+    coordinates, widened halfway to the neighbouring blocks' values (one
+    unit out beyond the last).  Pairs (coordinate, interval)."""
+    stride = len(factor.group) + 1
 
+    def least(cell):  # the least coordinate of each block off the constants
+        out = {}
+        for i, q in zip(factor.group, cell):
+            if q % stride:
+                out.setdefault(q, i)
+        return sorted(out.values())
 
-def _projection_dimension(diagrams, variables, consts):
-    """The largest coordinate tuple whose projection of the union of
-    `diagrams` holds an open cell, and a box around the first such cell in
-    enumeration order; () for a nonempty set with no open cell."""
-    for k in range(len(variables), 0, -1):
-        for coords in itertools.combinations(range(len(variables)), k):
-            jvars = [variables[i] for i in coords]
-            open_cells = {p for p in (d.project(set(jvars)) for d in diagrams)
-                          if p.free_block_count() == k}
-            if open_cells:
-                first = next(d for d in enumerate_diagrams(jvars, consts) if d in open_cells)
-                return coords, _box_from_diagram(first, jvars)
-    return ((), ()) if diagrams else (None, None)
+    coords = min(map(least, factor.cells), key=lambda c: (-len(c), c))
+    if not coords:
+        return []
+    at, names = [factor.group.index(i) for i in coords], [f"x{i}" for i in coords]
+    consts, cells, _ = _refine(factor.consts, factor.cells, stride, consts)
+    first = min((_diagram(p, consts, names, stride)
+                 for p in {tuple(cell[j] for j in at) for cell in cells}
+                 if len(set(p)) == len(p) and all(q % stride for q in p)),
+                key=_enumeration_key)
+    env = first.sample()
+    values = [c if c is not None else env[min(vs)] for vs, c in first.blocks]
+    ends = [values[0] - 1] + values + [values[-1] + 1]
+    where = {v: b for b, (vs, _) in enumerate(first.blocks) for v in vs}
+    return [(i, ((ends[b] + ends[b + 1]) * HALF, (ends[b + 1] + ends[b + 2]) * HALF))
+            for i, b in zip(coords, map(where.__getitem__, names))]
 
 
 def dimension(f, m, method="both") -> DimensionReport:
-    """Dimension of the set defined by f over (Q,<)^m, read off its order
-    diagrams.
+    """Dimension of the set defined by f over (Q,<)^m, read off the factors
+    of its set (see `DloContext.to_set`).
 
-    diagram method: maximal number of unconstrained blocks over the
-    diagrams.  projection method: largest coordinate projection containing
-    an open box (the box is exhibited).  The empty set gets a distinguished
-    report.
+    diagram method: the sum over the factors of the most blocks off the
+    constants that one of a factor's cells has.  projection method: the
+    largest coordinate projection containing an open box, the union of each
+    factor's coordinates and box (see `_open_box`).  The empty set gets a
+    distinguished report.
     """
     if m < 0:
         raise DloError("the variable count m must be nonnegative")
-    variables = _coord_vars(m)
-    extra = free_vars(f) - set(variables)
+    ctx = DloContext(m)
+    extra = free_vars(f) - set(ctx.obj_vars)
     if extra:
         raise _outside(extra, m)
     if method not in ("diagram", "projection", "both"):
         raise DloError(f"unknown method {method!r}")
-    diagrams = order_diagrams(f, variables)
-    d_dim = max((d.free_block_count() for d in diagrams), default=None)
+    s = ctx.to_set(f)
+    if ctx.is_empty(s):
+        return DimensionReport(None, method)
+    d_dim = sum(max(len({q for q in cell if q % (len(g.group) + 1)}) for cell in g.cells)
+                for g in s.factors)
     if method == "diagram":
         return DimensionReport(d_dim, "diagram")
-    coords, box = _projection_dimension(diagrams, variables, constants_of(f))
-    p_dim = None if coords is None else len(coords)
-    if method == "both" and d_dim != p_dim:
-        raise DloError(f"dimension methods disagree: diagram={d_dim} projection={p_dim}")
-    return DimensionReport(p_dim, method, coords, box)
+    consts = sorted(constants_of(f))
+    box = dict(pair for g in s.factors for pair in _open_box(g, consts))
+    coords = tuple(sorted(box))
+    if method == "both" and d_dim != len(coords):
+        raise DloError(f"dimension methods disagree: diagram={d_dim} projection={len(coords)}")
+    return DimensionReport(len(coords), method, coords, tuple(map(box.__getitem__, coords)))
 
 
 def product(f, m0, g, m1):
@@ -516,13 +366,11 @@ def product(f, m0, g, m1):
 
 
 def standard_grid(consts):
-    """Constants, midpoints between neighbours, and one point beyond each
-    extreme; [0] when there are no constants."""
-    consts = sorted(set(map(Fraction, consts)))
-    if not consts:
-        return [Fraction(0)]
-    mids = [(a + b) * HALF for a, b in zip(consts, consts[1:])]
-    return sorted(consts + mids + [consts[0] - 1, consts[-1] + 1])
+    """The points of the one-variable cells over the constants (see
+    `_point`): the constants, midpoints between neighbours, and one point
+    beyond each extreme; [0] when there are no constants."""
+    consts = tuple(sorted(set(map(Fraction, consts))))
+    return [_point((q,), consts, 2)[0] for q in range(1, 2 * len(consts) + 2)]
 
 
 @dataclass(frozen=True)
@@ -750,7 +598,8 @@ class DloContext(Context):
     it by each top-level conjunct, and a restrict refines and splits only
     the factor its instance mentions, joining first the factors the
     instance links.  Every formula, quantified or not, is decided on cell
-    positions (see `_holds`): no method builds an order diagram.  A context
+    positions (see `_holds`); only `order_diagrams` turns cells into order
+    diagrams, to list them.  A context
     keeps what it computes for the life of the object: instance bodies per
     (phi, params), candidate grids per (phi, extra constants), and the
     partition memo, which holds for each (set, phi, params) that restrict
@@ -761,7 +610,7 @@ class DloContext(Context):
     restrict, emptiness, sat and pick work on the factors as given."""
 
     def __init__(self, num_vars=1, max_candidates=4096):
-        self.obj_vars = _coord_vars(num_vars)
+        self.obj_vars = tuple(f"x{i}" for i in range(num_vars))
         self.arity = num_vars
         self.max_candidates = max_candidates
         self._bodies = {}  # (phi, params) -> lifted instance body and what restrict reads of it
@@ -788,13 +637,18 @@ class DloContext(Context):
         extra = free_vars(x) - set(self.obj_vars)
         if extra:
             raise DloError(f"free variables {sorted(extra)} outside the context sort")
-        s, conjuncts = self._top, [x]
+        return self._fold(x, self.obj_vars)
+
+    def _fold(self, f, variables):
+        """`to_set`'s fold, for a formula whose name for the context's
+        variable i is variables[i]."""
+        s, conjuncts = self._top, [f]
         while conjuncts:
-            f = conjuncts.pop()
-            if isinstance(f, And):
-                conjuncts += (f.right, f.left)
+            g = conjuncts.pop()
+            if isinstance(g, And):
+                conjuncts += (g.right, g.left)
             else:
-                s = self._partition(s, self.obj_vars, *_decision(f, self.obj_vars))[1]
+                s = self._partition(s, variables, *_decision(g, variables))[1]
         return s
 
     def _fix(self, consts):

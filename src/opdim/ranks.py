@@ -98,7 +98,7 @@ class _RankEngine:
         instances = [(phi, params) for phi in self.delta
                      for params in ctx.instance_candidates(phi, s)]
         result = False
-        for choice in itertools.combinations_with_replacement(instances, self.n):
+        for choice in itertools.combinations(instances, self.n):
             cells = []
             for sigma in itertools.product((1, 0), repeat=self.n):
                 cell = s

@@ -1,3 +1,5 @@
+import ast
+import functools
 import itertools
 import os
 import random
@@ -15,16 +17,17 @@ from opdim import (
     parse_formula, parse_partitioned, product, qe_dlo, sat_sample,
     satisfiable_q, standard_grid,
 )
+import opdim
 from opdim import dlo
-from opdim.dlo import (
-    DloSet, Factor, OrderDiagram, constants_of, enumerate_diagrams,
-)
+from opdim.dlo import DloSet, Factor, constants_of
 from opdim.ranks import RankQuery, gamma_consistent, op_rank, shelah_rank2
 from opdim.logic import Elem, PartitionedFormula, conj_all, evaluate, free_vars, signed
 from opdim.patterns import check_ird
 from opdim.contexts import Constraint, FiniteContext
 
+import dlo_reference as ref
 from conftest import chain, random_r_structure
+from dlo_reference import grid_holds
 
 Q = Fraction
 
@@ -57,9 +60,9 @@ def _cell(diagram, variables, stride):
 
 
 def _uncell(cell, consts, variables, stride):
-    """The order diagram over `consts` of an integer cell."""
+    """The reference order diagram over `consts` of an integer cell."""
     places = sorted(set(cell).union(range(stride, stride * len(consts) + 1, stride)))
-    return OrderDiagram(tuple(
+    return ref.OrderDiagram(tuple(
         (frozenset(v for v, q in zip(variables, cell) if q == p),
          None if p % stride else consts[p // stride - 1]) for p in places))
 
@@ -75,6 +78,33 @@ def random_qf_formula(rng, variables, consts, depth=3, rel="<", const=lambda c: 
     cls = And if kind == 1 else Or
     return cls(random_qf_formula(rng, variables, consts, depth - 1, rel, const),
                random_qf_formula(rng, variables, consts, depth - 1, rel, const))
+
+
+# ---------------------------------------------------------------------------
+# The reference
+
+
+REFERENCE_MAY_IMPORT = {"evaluate_q", "constants_of", "DloError"}
+
+
+def test_reference_imports_nothing_it_checks():
+    # the reference takes from opdim.dlo only what it needs to read formulas,
+    # whether it imports from opdim.dlo or from the names opdim re-exports
+    tree = ast.parse(Path(ref.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("opdim.dlo") for a in node.names), ast.dump(node)
+        if not isinstance(node, ast.ImportFrom) or not (node.module or "").startswith("opdim"):
+            continue
+        for alias in node.names:
+            if node.module == "opdim.dlo":
+                assert alias.name in REFERENCE_MAY_IMPORT, alias.name
+            elif node.module == "opdim":
+                value = getattr(opdim, alias.name, None)
+                from_dlo = value is dlo or getattr(value, "__module__", None) == dlo.__name__
+                assert not from_dlo or alias.name in REFERENCE_MAY_IMPORT, alias.name
+            else:
+                assert not node.module.startswith("opdim.dlo"), node.module
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +150,8 @@ def test_satisfiable_q_constant_comparisons():
 
 
 def test_sat_sample_agrees_with_diagram_enumeration():
-    # order_diagrams decides satisfiability by enumerating every arrangement,
-    # independently of the solver's order graph
+    # the context's point against the reference, which enumerates every
+    # arrangement and solves by DNF and order graphs
     rng = random.Random(53)
     for case in range(2000):
         variables = [f"v{i}" for i in range(rng.randint(1, 4))]
@@ -129,17 +159,28 @@ def test_sat_sample_agrees_with_diagram_enumeration():
                          for _ in range(rng.randint(0, 3))})
         f = random_qf_formula(rng, variables, consts)
         env = sat_sample(f)
-        assert (env is None) == (not order_diagrams(f, sorted(free_vars(f)))), (case, f)
+        assert (env is None) == (not ref.order_diagrams(f, sorted(free_vars(f)))), (case, f)
+        assert (env is None) == (ref.sat_sample(f) is None), (case, f)
         if env is not None:
-            # a variable the satisfying conjunct leaves out may take any value
+            # a variable f does not mention may take any value
             env = {v: env.get(v, Q(0)) for v in variables}
             assert evaluate_q(f, env), (case, f, env)
 
 
+def test_sat_sample_takes_quantifiers():
+    f = parse_formula("exists y. x < y & y < z")
+    env = sat_sample(f)
+    assert set(env) == {"x", "z"} and env["x"] < env["z"]
+    assert sat_sample(parse_formula("forall y. x < y")) is None
+
+
 HASH_SEED_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from dlo_reference import sat_sample as reference
 from opdim import DloContext, parse_formula, sat_sample
-print(sorted(sat_sample(parse_formula(
-    "x < 1 & y < 1 & z < 1 & ~(x = y) & ~(y = z) & ~(x = z) & a < b & c < d")).items()))
+f = parse_formula("x < 1 & y < 1 & z < 1 & ~(x = y) & ~(y = z) & ~(x = z) & a < b & c < d")
+print(sorted(sat_sample(f).items()), sorted(reference(f).items()))
 ctx = DloContext(2)
 print(ctx.pick(ctx.to_set(parse_formula("0 < x0 & 0 < x1 & ~(x0 = x1)"))))
 """
@@ -149,7 +190,8 @@ def test_sat_sample_does_not_depend_on_hash_seed():
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = set()
     for seed in ("1", "2"):
-        done = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE], check=True,
+        done = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE,
+                               str(Path(__file__).resolve().parent)], check=True,
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
         outputs.add(done.stdout)
@@ -202,24 +244,6 @@ def random_formula(rng, variables, consts, depth=3, quantifiers=3):
     return (And, Or, Imp)[kind - 1](
         random_formula(rng, variables, consts, depth - 1, quantifiers),
         random_formula(rng, variables, consts, depth - 1, quantifiers))
-
-
-def grid_holds(f, env, consts):
-    """f at env, each quantifier ranging over the standard grid of the
-    constants and the values bound so far."""
-    if isinstance(f, (Exists, Forall)):
-        grid = standard_grid(consts | set(env.values()))
-        found = (grid_holds(f.sub, {**env, f.var: w}, consts) for w in grid)
-        return any(found) if isinstance(f, Exists) else all(found)
-    if isinstance(f, Not):
-        return not grid_holds(f.sub, env, consts)
-    if isinstance(f, And):
-        return grid_holds(f.left, env, consts) and grid_holds(f.right, env, consts)
-    if isinstance(f, Or):
-        return grid_holds(f.left, env, consts) or grid_holds(f.right, env, consts)
-    if isinstance(f, Imp):
-        return not grid_holds(f.left, env, consts) or grid_holds(f.right, env, consts)
-    return evaluate_q(f, env)
 
 
 def test_qe_random_suite_sampled_equivalence():
@@ -286,8 +310,34 @@ def test_diagrams_partition_the_formula():
 
 
 def test_diagram_sample_satisfies_its_formula():
-    for d in enumerate_diagrams(["x", "y"], [Q(0), Q(2)]):
+    diagrams = order_diagrams(TRUE, ["x", "y"], [Q(0), Q(2)])
+    assert len(diagrams) == len(ref.enumerate_diagrams(["x", "y"], [Q(0), Q(2)]))
+    for d in diagrams:
         assert evaluate_q(d.to_formula(), d.sample())
+
+
+def test_cells_come_in_the_reference_order():
+    # every cell the reference enumerator finds, in its order and with its
+    # sample point, for formulas quantified or not over 0-3 variables (given
+    # in any order, and named so that name order is not index order), 0-2
+    # constants, and now and then constants that f does not hold
+    rng = random.Random(101)
+    quantified = extra = 0
+    for case in range(320):
+        variables = rng.sample(("x", "x10", "x2", "y"), rng.randint(0, 3))
+        consts = sorted({Q(rng.randint(-2, 2), rng.choice((1, 2)))
+                         for _ in range(rng.randint(0 if variables else 1, 2))})
+        if rng.random() < 0.4:
+            f = random_quantified_formula(rng, variables, consts)
+        else:
+            f = random_qf_formula(rng, variables, consts)
+        more = [Q(rng.randint(-3, 3), 2)] if rng.random() < 0.3 else []
+        quantified += dlo._quantified(f)
+        extra += bool(more)
+        got, want = ([(d.blocks, d.sample()) for d in diagrams(f, variables, more)]
+                     for diagrams in (order_diagrams, ref.order_diagrams))
+        assert got == want, (case, f, variables, more)
+    assert quantified > 60 and extra > 60
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +407,52 @@ def test_dimension_point_is_zero():
 
 
 def test_dimension_methods_agree_on_random_suite():
+    # both methods against each other and against the reference's free
+    # blocks and projections of the enumerated diagrams, on sets that
+    # factor and sets that do not
     rng = random.Random(29)
-    for _ in range(25):
-        f = random_qf_formula(rng, ["x0", "x1"], [Q(0), Q(1)])
-        d = dimension(f, 2, method="diagram").dimension
-        p = dimension(f, 2, method="projection").dimension
-        assert d == p
-        dimension(f, 2, method="both")  # raises on disagreement
+    for case in range(120):
+        m = rng.randint(1, 3)
+        variables = [f"x{i}" for i in range(m)]
+        consts = sorted({Q(rng.randint(-2, 2)) for _ in range(rng.randint(0, 2))})
+        if rng.random() < 0.5:
+            f = random_qf_formula(rng, variables, consts)
+        else:
+            f = conj_all(random_qf_formula(rng, rng.sample(variables, rng.randint(1, m)),
+                                           consts, depth=1) for _ in range(rng.randint(1, 3)))
+        by_blocks, coords = ref.dimension(f, m)
+        assert dimension(f, m, method="diagram").dimension == by_blocks, (case, f)
+        rep = dimension(f, m, method="projection")
+        assert (rep.dimension, rep.coords) == (by_blocks, coords), (case, f)
+        dimension(f, m, method="both")  # raises on disagreement
+
+
+def _box_points(rep):
+    """Points of a report's box: a quarter, half and three quarters along each side."""
+    return itertools.product(*[[lo + (hi - lo) * Q(k, 4) for k in (1, 2, 3)]
+                               for lo, hi in rep.box])
+
+
+@pytest.mark.parametrize("text, m, want", [
+    (" & ".join(f"x{i} < 1" for i in range(8)), 8, tuple(range(8))),
+    # four two-variable factors, their conjuncts interleaved
+    ("x0 < x1 & x2 = x3 & x4 = 0 & (x6 < x7 | x7 = 1) & 0 < x2 & 0 < x5 & x7 < 2",
+     8, (0, 1, 2, 5, 6, 7)),
+], ids=("eight one-variable factors", "four two-variable factors"))
+def test_dimension_of_a_product_of_factors(text, m, want):
+    # read factor by factor; the enumerated diagrams of eight variables
+    # would number in the millions
+    f = parse_formula(text)
+    assert dimension(f, m, method="diagram").dimension == len(want)
+    for method in ("projection", "both"):
+        rep = dimension(f, m, method=method)
+        assert (rep.dimension, rep.coords) == (len(want), want)
+    others = [f"x{i}" for i in range(m) if i not in want]
+    projected = functools.reduce(lambda g, v: Exists(v, g), others, f)
+    points = list(_box_points(rep))
+    for point in random.Random(7).sample(points, 40):
+        env = {f"x{i}": x for i, x in zip(want, point)}
+        assert grid_holds(projected, env, constants_of(f)), env
 
 
 def test_dimension_monotone_under_inclusion():
@@ -536,22 +625,23 @@ def random_restrict_chain(rng, ctx):
 
 
 def test_context_diagrams_agree_with_the_dnf_solver():
-    # the context's cell algebra against sat_sample on the conjunction of
-    # the same signed instances, which solves by DNF and order graphs; a
-    # quantified instance enters in the qe_dlo form of its signed instance
+    # the context's cell algebra against the reference's sat_sample on the
+    # conjunction of the same signed instances, which solves by DNF and
+    # order graphs; a quantified instance enters in the reference's
+    # quantifier-free form of its signed instance
     rng = random.Random(67)
     for case in range(300):
         ctx = DloContext(rng.randint(1, 3))
         chain = random_restrict_chain(rng, ctx)
         bodies = [signed(phi.instantiate((p,)), sign) for phi, p, sign in chain]
-        bodies = [qe_dlo(b) if isinstance(phi.body, (Exists, Forall)) else b
+        bodies = [ref.qe(b) if isinstance(phi.body, (Exists, Forall)) else b
                   for b, (phi, _, _) in zip(bodies, chain)]
         s = r = ctx.top()
         for phi, p, sign in chain:
             s = ctx.restrict(s, phi, (p,), sign)
         for phi, p, sign in reversed(chain):
             r = ctx.restrict(r, phi, (p,), sign)
-        assert ctx.is_empty(s) == (sat_sample(conj_all(bodies)) is None), (case, bodies)
+        assert ctx.is_empty(s) == (ref.sat_sample(conj_all(bodies)) is None), (case, bodies)
         assert ctx.cache_key(s) == ctx.cache_key(r), case
         if not ctx.is_empty(s):
             env = dict(zip(ctx.obj_vars, ctx.pick(s)))
@@ -564,8 +654,8 @@ def refined_cells(s, consts, variables):
     cell of s once the constants outside s.consts are forgotten."""
     stride, old, cells = len(variables) + 1, set(s.consts), set(s.cells)
     out = set()
-    for d in enumerate_diagrams(variables, consts):
-        coarse = OrderDiagram(tuple((vs, c if c in old else None)
+    for d in ref.enumerate_diagrams(variables, consts):
+        coarse = ref.OrderDiagram(tuple((vs, c if c in old else None)
                                     for vs, c in d.blocks if vs or c in old))
         if _cell(coarse, variables, stride) in cells:
             out.add(_cell(d, variables, stride))
@@ -576,7 +666,7 @@ def test_restrict_memo_answers_as_a_fresh_context():
     # a warm context answers every restrict below from its partition memo:
     # each answer equals a fresh context's and hashes equal to it, and the
     # two signs split the cells of the set over the merged constants, the
-    # positive half holding the cells order_diagrams finds in the instance
+    # positive half holding the cells the reference finds in the instance
     rng = random.Random(71)
     for case in range(100):
         warm = DloContext(rng.randint(1, 3))
@@ -613,7 +703,7 @@ def test_restrict_memo_answers_as_a_fresh_context():
                 refined = refined_cells(s.joined(), merged, warm.obj_vars)
                 assert negs | poss == refined, case
                 stride = warm.arity + 1
-                holds = {_cell(d, warm.obj_vars, stride) for d in order_diagrams(
+                holds = {_cell(d, warm.obj_vars, stride) for d in ref.order_diagrams(
                     body, warm.obj_vars, merged)}
                 assert poss == refined & holds, case
                 s = halves[sign]
@@ -665,11 +755,11 @@ def test_factors_agree_with_the_diagrams_of_the_conjunction():
         joined = s.joined()
         merged = sorted(set(joined.consts) | constants_of(whole))
         want = {_cell(d, ctx.obj_vars, ctx.arity + 1)
-                for d in order_diagrams(whole, ctx.obj_vars, merged)}
+                for d in ref.order_diagrams(whole, ctx.obj_vars, merged)}
         assert refined_cells(joined, merged, ctx.obj_vars) == want, (case, f, bodies)
-        free = [qe_dlo(b) if isinstance(phi.body, (Exists, Forall)) else b
+        free = [ref.qe(b) if isinstance(phi.body, (Exists, Forall)) else b
                 for b, (phi, _, _) in zip(bodies, chain)]
-        assert ctx.is_empty(s) == (sat_sample(conj_all([f] + free)) is None), (case, f)
+        assert ctx.is_empty(s) == (ref.sat_sample(conj_all([f] + free)) is None), (case, f)
         assert ctx.cache_key(s) == ctx.cache_key(r), case
         if not ctx.is_empty(s):
             env = dict(zip(ctx.obj_vars, ctx.pick(s)))
@@ -697,7 +787,8 @@ def random_quantified_formula(rng, variables, consts, depth=3):
 
 def test_quantified_bodies_are_decided_as_their_qe_form():
     # traces and to_set decide a quantified body on positions, with no
-    # quantifier elimination: they must answer as on the qe_dlo form
+    # quantifier elimination: they must answer as on the reference's
+    # quantifier-free form
     rng = random.Random(97)
     quantified = 0
     for case in range(250):
@@ -707,7 +798,7 @@ def test_quantified_bodies_are_decided_as_their_qe_form():
                          for _ in range(rng.randint(0, 2))})
         body = random_quantified_formula(rng, ctx.obj_vars + params, consts)
         quantified += dlo._quantified(body)
-        phi, free = (PartitionedFormula(b, ctx.obj_vars, params) for b in (body, qe_dlo(body)))
+        phi, free = (PartitionedFormula(b, ctx.obj_vars, params) for b in (body, ref.qe(body)))
         pool = sorted(set(consts) | {Q(v, 2) for v in range(-5, 6)})
         candidates = [tuple(rng.choice(pool) for _ in params) for _ in range(rng.randint(1, 4))]
         points = [tuple(rng.choice(pool) for _ in ctx.obj_vars) for _ in range(6)]
@@ -759,7 +850,8 @@ def test_to_set_folds_the_conjuncts_into_linked_factors():
             parts[i:i + 2] = [And(parts[i], parts[i + 1])]
         f = parts[0]
         s = ctx.to_set(f)
-        want = {_cell(d, ctx.obj_vars, ctx.arity + 1) for d in order_diagrams(f, ctx.obj_vars)}
+        want = {_cell(d, ctx.obj_vars, ctx.arity + 1)
+                for d in ref.order_diagrams(f, ctx.obj_vars)}
         if not want:
             assert ctx.is_empty(s), (case, f)
             continue
@@ -807,7 +899,7 @@ def coarsened(s, consts, variables):
     """The integer cells over `consts`, a subset of s.consts, of the diagrams
     of the factor s over every variable with the other constants forgotten."""
     stride, keep = len(variables) + 1, set(consts)
-    return {_cell(OrderDiagram(tuple((vs, c if c in keep else None)
+    return {_cell(ref.OrderDiagram(tuple((vs, c if c in keep else None)
                                      for vs, c in _uncell(cell, s.consts, variables,
                                                           stride).blocks
                                      if vs or c in keep)), variables, stride)
@@ -854,14 +946,14 @@ def test_normal_form_of_the_empty_set_and_of_a_constant_free_set():
 
 def test_pick_is_the_sample_of_the_first_cell():
     # pick reads the point off the cell's positions; it must be exactly the
-    # point the cell's order diagram samples
+    # point the cell's reference order diagram samples
     rng = random.Random(79)
     for k in (1, 2, 3):
         ctx = DloContext(k)
         for _ in range(12):
             consts = tuple(sorted({Q(rng.randint(-6, 6), rng.choice((1, 2, 3)))
                                    for _ in range(rng.randint(0, 3))}))
-            for d in enumerate_diagrams(ctx.obj_vars, consts):
+            for d in ref.enumerate_diagrams(ctx.obj_vars, consts):
                 cell = _cell(d, ctx.obj_vars, k + 1)
                 env = _uncell(cell, consts, ctx.obj_vars, k + 1).sample()
                 want = tuple(env[v] for v in ctx.obj_vars)

@@ -16,7 +16,7 @@ from opdim.logic import (
     encode_delta, independence_dimension, parity_combine,
 )
 from opdim.contexts import FiniteContext
-from opdim.ranks import RankQuery, op_rank
+from opdim.ranks import RankQuery, op_rank, shelah_rank2
 
 from conftest import CHAIN_SIG, R_SIG, chain, r_structure, random_r_structure
 
@@ -291,3 +291,35 @@ def test_encode_delta_preserves_rank():
         r_set = op_rank(RankQuery(ctx, subset, phis, n=1, cap=6))
         r_coded = op_rank(RankQuery(ctx, subset, [coded], n=1, cap=6))
         assert r_set.to_json() == r_coded.to_json()
+
+
+RP_SIG = Signature((("R", 2), ("P", 1)))
+RP_POOL = {1: ["x ; y : R(x, y)", "x ; y : R(y, x) & P(y)", "x ; y : P(x) | x = y"],
+           2: ["x ; y z : R(x, y) & ~R(x, z)", "x ; y z : R(y, z) & (x = y | P(x))",
+               "x ; y z : R(x, y) | R(z, x)"]}
+
+
+def test_encode_delta_ranks_as_delta():
+    # the coded formula is an oracle for Delta: each selector code picks one
+    # member, and the unused codes give the empty instance, which splits
+    # nothing, so both ranks agree on every base at n = 1 and n = 2
+    rng = random.Random(61)
+    compared = 0
+    for case in range(100):
+        k = rng.randint(2, 4)
+        universe = tuple(range(k))
+        m = FiniteStructure(RP_SIG, universe, {
+            "R": frozenset(p for p in itertools.product(universe, repeat=2) if rng.random() < 0.4),
+            "P": frozenset((a,) for a in universe if rng.random() < 0.5)})
+        texts = rng.sample(RP_POOL[1], rng.randint(1, 2)) + [rng.choice(RP_POOL[2])]
+        rng.shuffle(texts)
+        delta = [parse_partitioned(t, RP_SIG) for t in texts]
+        coded = encode_delta(delta, m)
+        ctx = FiniteContext(m)
+        subset = DefinableSubset(m, 1, frozenset(
+            (e,) for e in rng.sample(universe, rng.randint(1, k))))
+        for rank, n in ((op_rank, 1), (op_rank, 2), (shelah_rank2, 1)):
+            got, want = (rank(RankQuery(ctx, subset, d, n=n, cap=4)) for d in ([coded], delta))
+            assert got == want, (case, texts, n, rank.__name__)
+            compared += 1
+    assert compared == 300

@@ -10,12 +10,13 @@ from opdim import (
     And, Atom, Eq, Not, Or, Rat, Var,
     BudgetExceededError, DloContext, FiniteContext, InconsistentTypeError,
     PartitionedFormula, RankQuery, RankValue, gamma_consistent, localized_opd,
-    op_dimension, op_rank, parse_partitioned, qe_dlo, shelah_rank2,
+    op_dimension, op_rank, parse_partitioned, shelah_rank2,
 )
 from opdim.contexts import FinSet
 from opdim.ranks import _RankEngine, _capped_rank
 from opdim.logic import DefinableSubset
 
+import dlo_reference as ref
 from conftest import R_SIG, chain, equality_structure, grid_2x2, \
     r_structure_from_bits
 
@@ -120,6 +121,65 @@ def test_op_rank_symbolic_order_zero_at_n2():
     assert op_rank(q).to_json() == {"exact": 0}
 
 
+class _Cut:
+    """A set of the wrapped context, and the instances that have cut it since
+    the rank engine last asked for candidates on a set on its way."""
+
+    def __init__(self, real, used=frozenset()):
+        self.real, self.used = real, used
+
+
+class NoRepeatContext:
+    """Forwards the rank engine's calls to a context, and fails when one
+    instance cuts a set twice within one choice of instances."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.restricts = 0
+
+    def to_set(self, x):
+        return x if isinstance(x, _Cut) else _Cut(self.inner.to_set(x))
+
+    def size(self, s):
+        return self.inner.size(s.real)
+
+    def is_empty(self, s):
+        return self.inner.is_empty(s.real)
+
+    def cache_key(self, s):
+        return self.inner.cache_key(s.real)
+
+    def instance_candidates(self, phi, s):
+        s.used = frozenset()  # the engine chooses the instances that split s
+        return self.inner.instance_candidates(phi, s.real)
+
+    def restrict(self, s, phi, params, sign):
+        key = (phi, tuple(params))
+        assert key not in s.used, f"{key} cuts a set twice"
+        self.restricts += 1
+        return _Cut(self.inner.restrict(s.real, phi, params, sign), s.used | {key})
+
+
+@pytest.mark.parametrize("make, texts, signature, n, cap", [
+    (lambda: DloContext(2), ("x0 x1 ; y : x0 < y", "x0 x1 ; y : x1 < y"), None, 2, 3),
+    (lambda: FiniteContext(grid_2x2()), ("x ; y : x <0 y", "x ; y : x <1 y"),
+     grid_2x2().signature, 2, 4),
+    (lambda: FiniteContext(chain(9)), ("x ; y : x < y",), None, 3, 2),
+], ids=("Q^2 n=2", "grid n=2", "chain n=3"))
+def test_op_rank_tries_no_choice_that_repeats_an_instance(make, texts, signature, n, cap):
+    # a repeated instance leaves a mixed sign cell empty, so skipping such
+    # choices changes neither the answer nor the memo
+    delta = tuple(parse_partitioned(t, signature) if signature else parse_partitioned(t)
+                  for t in texts)
+    plain = make()
+    recording = NoRepeatContext(make())
+    top = plain.top(len(delta[0].obj_vars))
+    engines = [_RankEngine(ctx, delta, n) for ctx in (recording, plain)]
+    values = [_capped_rank(e, RankQuery(e.context, top, delta, n=n, cap=cap)) for e in engines]
+    assert values[0] == values[1] and engines[0].memo == engines[1].memo
+    assert recording.restricts > 0
+
+
 @pytest.mark.parametrize("text", [
     "x0 ; y : exists z. x0 < z & z < y",
     "x0 ; y : exists z. x0 < z & z < y & 0 < z",
@@ -127,11 +187,12 @@ def test_op_rank_symbolic_order_zero_at_n2():
     "x0 ; y : ~(exists z. z < x0 & 1 < z) & x0 < y",
 ])
 def test_quantified_delta_ranks_as_its_quantifier_free_form(text):
-    # restrict decides a quantified instance on the cells' diagrams, so it
-    # cuts out the same cells as the eliminated formula, over the same constants
+    # restrict decides a quantified instance on the cells' positions, so it
+    # cuts out the same cells as the reference's eliminated formula, over
+    # the same constants
     ctx = DloContext(1)
     phi = parse_partitioned(text)
-    free = PartitionedFormula(qe_dlo(phi.body), phi.obj_vars, phi.param_vars)
+    free = PartitionedFormula(ref.qe(phi.body), phi.obj_vars, phi.param_vars)
     for n, cap in ((1, 4), (2, 2)):
         ranks = [op_rank(RankQuery(ctx, ctx.top(), (f,), n=n, cap=cap)) for f in (phi, free)]
         assert ranks[0] == ranks[1], (n, ranks)
