@@ -14,12 +14,13 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 from . import dlo, multiorder, patterns, ranks
 from .contexts import BudgetExceededError, FiniteContext
 from .logic import (
-    DLO_SIGNATURE, LogicError, load_structure,
+    DLO_SIGNATURE, Elem, LogicError, load_structure,
     parse_formula, parse_partitioned, print_formula,
 )
 from .multiorder import MultiOrderError
@@ -60,8 +61,11 @@ def _load(name, texts, subset=None):
             raise CliInputError(
                 f"universe of {len(structure.universe)} exceeds OPDIM_MAX_UNIVERSE")
         sig = structure.signature
-    formulas = [parse_partitioned(t, sig) for t in texts]
-    where = parse_partitioned(subset, sig) if subset else None
+    def parse(text):  # `@name` names an element, which need not be a string
+        phi = parse_partitioned(text, sig)
+        return phi if structure is None else _named(phi, structure)
+    formulas = [parse(t) for t in texts]
+    where = parse(subset) if subset else None
     # a set over pairs read as a set over elements answers the wrong question
     arities = {len(f.obj_vars) for f in formulas + [where] if f is not None}
     if len(arities) != 1 or where is not None and where.param_vars:
@@ -91,17 +95,30 @@ def _nested_strings(x, depth):
 
 
 def _parse_value(text, structure):
-    """A witness value: a rational for the symbolic engine, an element name
-    otherwise."""
+    """A witness value: a rational for the symbolic engine, otherwise the
+    one element of the universe whose name is the text."""
     if structure is None:
         try:
             return Fraction(text)
         except ZeroDivisionError:
             raise CliInputError(f"value {text!r} has a zero denominator") from None
-    for e in structure.universe:
-        if str(e) == str(text):
-            return e
-    raise CliInputError(f"element {text!r} not in the universe")
+    named = [e for e in structure.universe if str(e) == str(text)]
+    if len(named) != 1:
+        why = f"names {len(named)} elements of" if named else "is not in"
+        raise CliInputError(f"element {text!r} {why} the universe")
+    return named[0]
+
+
+def _named(x, structure):
+    """x, a formula or a part of one, with each `@name` term the element it
+    names (see `_parse_value`)."""
+    if isinstance(x, Elem):
+        return Elem(_parse_value(x.value, structure))
+    if isinstance(x, tuple):
+        return tuple(_named(y, structure) for y in x)
+    if is_dataclass(x):
+        return replace(x, **{k.name: _named(getattr(x, k.name), structure) for k in fields(x)})
+    return x
 
 
 def _parse_grid(spec, structure):

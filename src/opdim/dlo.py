@@ -1,8 +1,10 @@
-"""The symbolic (Q, <) engine.  Every first-order formula is decided on
-integer positions of its free variables and constants, placed in the order
-of the points they stand for (see `_holds`): an atom compares positions,
-and a quantifier tries its variable on and between the ranked positions of
-the formula it binds, which the homogeneity of (Q,<) makes exact.  One cell
+"""The symbolic (Q, <) engine.  One procedure, `_holds`, decides every
+first-order formula at places of its free variables and constants, integer
+positions or the rationals themselves, in the order of the points they
+stand for: an atom compares places, and a quantifier tries its variable on
+and between the ranked places of the formula it binds, which the
+homogeneity of (Q,<) makes exact.  `evaluate_q` is that procedure at
+rationals; the context runs it on cell positions.  One cell
 algebra holds every set: a subset of Q^k is a product of factors over
 disjoint groups of variables (see `DloSet`), each a set of integer cells
 over its own variables and constants (see `Factor`).  A restrict refines
@@ -38,44 +40,6 @@ class DloError(Exception):
 
 
 HALF = Fraction(1, 2)
-
-
-# ---------------------------------------------------------------------------
-# Ground evaluation over the rationals (quantifier-free only)
-
-
-def _q_term(t, env):
-    if isinstance(t, Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise DloError(f"unbound variable {t.name}") from None
-    if isinstance(t, Rat):
-        return t.value
-    raise DloError(f"term {t!r} has no rational value")
-
-
-def evaluate_q(f, env=None):
-    env = env or {}
-    if isinstance(f, Atom):
-        if f.rel != "<" or len(f.args) != 2:
-            raise DloError(f"relation {f.rel} is not part of the order signature")
-        return _q_term(f.args[0], env) < _q_term(f.args[1], env)
-    if isinstance(f, Eq):
-        return _q_term(f.left, env) == _q_term(f.right, env)
-    if isinstance(f, Not):
-        return not evaluate_q(f.sub, env)
-    if isinstance(f, And):
-        return evaluate_q(f.left, env) and evaluate_q(f.right, env)
-    if isinstance(f, Or):
-        return evaluate_q(f.left, env) or evaluate_q(f.right, env)
-    if isinstance(f, Imp):
-        return (not evaluate_q(f.left, env)) or evaluate_q(f.right, env)
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    raise DloError(f"cannot evaluate {f!r} over the rationals (quantifier-free only)")
 
 
 def constants_of(f):
@@ -130,9 +94,18 @@ _cname = "#{}".format   # the variable name a lifted formula gives a constant
 
 def _lift(f):
     """f with each constant c read as the variable `_cname(c)`, so that an env
-    places the constants as it places the variables."""
-    term = lambda a: Var(_cname(a.value)) if isinstance(a, Rat) else a
+    places the constants as it places the variables.  DloError for what
+    (Q,<) does not interpret: a relation other than binary `<`, or a term
+    that is neither a variable nor a rational."""
+    def term(a):
+        if isinstance(a, Rat):
+            return Var(_cname(a.value))
+        if not isinstance(a, Var):
+            raise DloError(f"term {a!r} has no rational value")
+        return a
     if isinstance(f, Atom):
+        if f.rel != "<" or len(f.args) != 2:
+            raise DloError(f"relation {f.rel} is not part of the order signature")
         return Atom(f.rel, tuple(map(term, f.args)))
     if isinstance(f, Eq):
         return Eq(term(f.left), term(f.right))
@@ -140,25 +113,34 @@ def _lift(f):
         return replace(f, sub=_lift(f.sub))
     if isinstance(f, (And, Or, Imp)):
         return replace(f, left=_lift(f.left), right=_lift(f.right))
-    return f
-
-
-def _quantified(f):
-    if isinstance(f, (Not, And, Or, Imp)):
-        return any(map(_quantified, (f.sub,) if isinstance(f, Not) else (f.left, f.right)))
-    return isinstance(f, (Exists, Forall))
+    if isinstance(f, (Top, Bot)):
+        return f
+    raise DloError(f"cannot evaluate {f!r} over the rationals")
 
 
 def _holds(f, env, memo):
     """Whether the lifted formula f (see `_lift`) holds where env places its
-    free variables and constants: at integers, in the order of the points
-    they stand for, so env decides each atom.  A quantified subformula
-    depends only on the order of its free variables' positions (a lifted
-    constant is one), which are ranked to 1, 3, ..., 2m-1; by the homogeneity of (Q,<), `exists v. g`
-    holds iff g holds with v at one of 0, 1, ..., 2m (on a ranked position
-    or in a gap between two), and `forall v. g` iff at all of them.  `memo`
-    keeps each quantified subformula's free variables and its answer on
-    each rank tuple."""
+    free variables and constants: at integer positions or at rationals, in
+    the order of the points they stand for, so env decides each atom.  A
+    quantified subformula depends only on the order of its free variables'
+    places (a lifted constant is one), which are ranked to 1, 3, ..., 2m-1;
+    by the homogeneity of (Q,<), `exists v. g` holds iff g holds with v at
+    one of 0, 1, ..., 2m (on a ranked position or in a gap between two), and
+    `forall v. g` iff at all of them.  `memo` keeps each quantified
+    subformula's free variables and its answer on each rank tuple."""
+    if isinstance(f, Atom):
+        a, b = f.args
+        return env[a.name] < env[b.name]
+    if isinstance(f, And):
+        return _holds(f.left, env, memo) and _holds(f.right, env, memo)
+    if isinstance(f, Or):
+        return _holds(f.left, env, memo) or _holds(f.right, env, memo)
+    if isinstance(f, Not):
+        return not _holds(f.sub, env, memo)
+    if isinstance(f, Eq):
+        return env[f.left.name] == env[f.right.name]
+    if isinstance(f, Imp):
+        return not _holds(f.left, env, memo) or _holds(f.right, env, memo)
     if isinstance(f, (Exists, Forall)):
         if id(f) not in memo:
             memo[id(f)] = tuple(free_vars(f)), {}
@@ -172,15 +154,18 @@ def _holds(f, env, memo):
                      for p in range(2 * len(rank) + 1))
             answers[key] = any(found) if isinstance(f, Exists) else all(found)
         return answers[key]
-    if isinstance(f, Not):
-        return not _holds(f.sub, env, memo)
-    if isinstance(f, And):
-        return _holds(f.left, env, memo) and _holds(f.right, env, memo)
-    if isinstance(f, Or):
-        return _holds(f.left, env, memo) or _holds(f.right, env, memo)
-    if isinstance(f, Imp):
-        return not _holds(f.left, env, memo) or _holds(f.right, env, memo)
-    return evaluate_q(f, env)
+    return isinstance(f, Top)
+
+
+def evaluate_q(f, env=None):
+    """Whether f, quantifiers allowed, holds over (Q,<) where env places its
+    free variables at rationals: `_holds` on the lifted f, each constant
+    placed at its own value."""
+    env = env or {}
+    unbound = sorted(free_vars(f).difference(env))
+    if unbound:
+        raise DloError(f"unbound variable {unbound[0]}")
+    return _holds(_lift(f), {**env, **{_cname(c): c for c in constants_of(f)}}, {})
 
 
 def _diagram(cell, consts, names, stride):
@@ -565,7 +550,7 @@ def _join(a, b):
     return Factor(tuple(sorted(group)), consts, tuple(cells))
 
 
-def _divide(factor, variables, body, names, consts, quantified):
+def _divide(factor, variables, body, names, consts):
     """The factor's constants refined by the body's constants `consts`
     (sorted; `names` their lifted names), and its refined cells split into
     (where the body fails, where it holds); variables[i] is the body's name
@@ -576,17 +561,17 @@ def _divide(factor, variables, body, names, consts, quantified):
     memo, halves = {}, ([], [])
     for cell in cells:
         env.update(zip(own, cell))
-        halves[_holds(body, env, memo) if quantified else evaluate_q(body, env)].append(cell)
+        halves[_holds(body, env, memo)].append(cell)
     return consts, halves
 
 
 def _decision(body, variables):
     """What `DloContext._partition` reads of a body whose name for the
     context's variable i is variables[i]: the body lifted, its constants'
-    lifted names and values (sorted), whether it quantifies, and the indices
-    of the variables it mentions."""
+    lifted names and values (sorted), and the indices of the variables it
+    mentions."""
     consts, free = tuple(sorted(constants_of(body))), free_vars(body)
-    return (_lift(body), tuple(map(_cname, consts)), consts, _quantified(body),
+    return (_lift(body), tuple(map(_cname, consts)), consts,
             frozenset(i for i, v in enumerate(variables) if v in free))
 
 
@@ -598,12 +583,13 @@ class DloContext(Context):
     it by each top-level conjunct, and a restrict refines and splits only
     the factor its instance mentions, joining first the factors the
     instance links.  Every formula, quantified or not, is decided on cell
-    positions (see `_holds`); only `order_diagrams` turns cells into order
-    diagrams, to list them.  A context
-    keeps what it computes for the life of the object: instance bodies per
-    (phi, params), candidate grids per (phi, extra constants), and the
-    partition memo, which holds for each (set, phi, params) that restrict
-    has seen the set's two sign sets.  Make a new context to drop them.
+    positions by `_holds`, the procedure `evaluate_q` runs at rationals;
+    only `order_diagrams` turns cells into order diagrams, to list them.
+    A context keeps what it computes for the life of the object: instance
+    bodies per (phi, params), candidate grids per (phi, extra constants),
+    and the partition memo, which holds for each (set, phi, params) that
+    restrict has seen the set's two sign sets.  Make a new context to drop
+    them.
     `cache_key` and `instance_candidates` read a set through the normal
     form of its joined form, so neither the factoring nor a constant the
     set does not depend on splits its key or adds points to its grid;
@@ -674,7 +660,7 @@ class DloContext(Context):
             halves = self._splits[key] = self._partition(s, phi.obj_vars, *body)
         return halves[1 if sign else 0]
 
-    def _partition(self, s, variables, body, names, consts, quantified, mentions):
+    def _partition(self, s, variables, body, names, consts, mentions):
         """s split into (where the body fails, where it holds): the factors
         the body mentions are joined, refined by its constants and divided,
         and the other factors are kept.  The body's name for the context's
@@ -682,10 +668,10 @@ class DloContext(Context):
         factors = s.factors
         hit = [f for f in factors if not mentions.isdisjoint(f.group)]
         if not hit:  # a ground body holds everywhere or nowhere
-            holds = _divide(_UNIT, variables, body, names, consts, quantified)[1][1]
+            holds = _divide(_UNIT, variables, body, names, consts)[1][1]
             return (self._empty, s) if holds else (s, self._empty)
         joined = functools.reduce(_join, hit)
-        consts, halves = _divide(joined, variables, body, names, consts, quantified)
+        consts, halves = _divide(joined, variables, body, names, consts)
         # the joined factor takes the place of the first one it joins
         at = factors.index(hit[0])
         before, after = factors[:at], factors[at + 1:]
@@ -761,15 +747,14 @@ class DloContext(Context):
         restrict decides it on cell positions."""
         consts = constants_of(phi.body)
         rank = {v: i for i, v in enumerate(sorted(consts.union(*points, *candidates)))}
-        lifted, env = _lift(phi.body), {_cname(c): rank[c] for c in consts}
-        memo, quantified = {}, _quantified(phi.body)
+        lifted, env, memo = _lift(phi.body), {_cname(c): rank[c] for c in consts}, {}
         points = [tuple(zip(phi.obj_vars, (rank[v] for v in p), strict=True)) for p in points]
         for b in candidates:
             env.update(zip(phi.param_vars, (rank[v] for v in b), strict=True))
             row = []
             for p in points:
                 env.update(p)
-                row.append(_holds(lifted, env, memo) if quantified else evaluate_q(lifted, env))
+                row.append(_holds(lifted, env, memo))
             yield row
 
 

@@ -642,10 +642,6 @@ class _Parser:
         if val != value:
             raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", line, col)
 
-    def error(self, msg, cls=ParseError):
-        _, val, line, col = self.peek()
-        raise cls(msg, line, col)
-
     def parse(self):
         f = self.formula()
         kind, val, line, col = self.peek()

@@ -218,8 +218,9 @@ def gamma_consistent(context, subset, phi, n, beta, node_bound=4096):
         if level == beta:
             witness.witnesses[prefix] = context.pick(cur)
             return True
-        for choice in itertools.product(context.instance_candidates(phi, cur),
-                                        repeat=n):
+        # a repeated instance leaves a mixed sign cell empty, and a reordered
+        # choice succeeds exactly when this one does
+        for choice in itertools.combinations(context.instance_candidates(phi, cur), n):
             for sigma in itertools.product((0, 1), repeat=n):
                 child = cur
                 for i in range(n):

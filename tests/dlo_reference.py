@@ -10,9 +10,9 @@ the tests.
   coordinate projections that hold an open cell.
 - A satisfiability solver works by disjunctive normal form and order graphs.
 
-It imports nothing from `opdim.dlo` but `evaluate_q`, `constants_of` and
-`DloError` (`tests/test_dlo.py::test_reference_imports_nothing_it_checks`
-holds that), so it never reuses the code it checks.
+It imports nothing from `opdim.dlo` but `constants_of` and `DloError`
+(`tests/test_dlo.py::test_reference_imports_nothing_it_checks` holds that),
+so it never reuses the code it checks.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from opdim.contexts import BudgetExceededError
-from opdim.dlo import DloError, constants_of, evaluate_q
+from opdim.dlo import DloError, constants_of
 from opdim.logic import (
     And, Atom, Bot, Eq, Exists, Forall, Imp, Not, Or, Rat, Top, Var,
     conj_all, disj_all, free_vars,
@@ -124,7 +124,13 @@ def grid_holds(f, env, consts):
         return grid_holds(f.left, env, consts) or grid_holds(f.right, env, consts)
     if isinstance(f, Imp):
         return not grid_holds(f.left, env, consts) or grid_holds(f.right, env, consts)
-    return evaluate_q(f, env)
+    if isinstance(f, (Top, Bot)):
+        return isinstance(f, Top)
+    value = lambda t: t.value if isinstance(t, Rat) else env[t.name]
+    if isinstance(f, Eq):
+        return value(f.left) == value(f.right)
+    left, right = f.args
+    return value(left) < value(right)
 
 
 def _lift(f):

@@ -668,6 +668,36 @@ def test_mo_moptest_host_labels_name_elements(capsys, tmp_path, chain4_file):
     assert doc["result"]["definable"] == 4 and doc["result"]["total"] == 4
 
 
+def chain_file(tmp_path, universe):
+    path = tmp_path / f"chain-{len(universe)}-{type(universe[0]).__name__}.json"
+    path.write_text(json.dumps({
+        "signature": {"relations": [{"name": "<", "arity": 2}]}, "universe": universe,
+        "relations": {"<": list(map(list, itertools.combinations(universe, 2)))}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("options", [
+    ("--delta", "x ; : x = @1"),
+    ("--delta", "x ; y : x < y", "--subset", "x ; : x < @2"),
+], ids=("delta", "subset"))
+def test_at_names_an_element_whatever_its_type(capsys, tmp_path, options):
+    # @1 names the element 1 of a chain of integers as it names "1" of a
+    # chain of strings
+    reports = [run_json(capsys, "rank", chain_file(tmp_path, universe), *options)
+               for universe in ([0, 1, 2], ["0", "1", "2"])]
+    assert [code for code, _, _ in reports] == [0, 0]
+    assert reports[0][1]["hash"] == reports[1][1]["hash"]
+    assert reports[0][1]["result"]["rank"] == {"exact": 1}
+
+
+@pytest.mark.parametrize("universe, name", [([0, 1, 2], "7"), ([1, "1", 2], "1")],
+                         ids=("no element", "two elements"))
+def test_at_names_exactly_one_element(capsys, tmp_path, universe, name):
+    code, out, err = run(capsys, "rank", chain_file(tmp_path, universe),
+                         "--delta", f"x ; : x = @{name}")
+    assert code == 2 and out == "" and f"element '{name}'" in err
+
+
 def test_mo_amalgamate_bounds_both_files(capsys, monkeypatch, tmp_path):
     small, big = tmp_path / "small.json", tmp_path / "big.json"
     dump_multiorder(generate_generic(2, 2, seed=1), str(small))

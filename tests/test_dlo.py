@@ -21,7 +21,9 @@ import opdim
 from opdim import dlo
 from opdim.dlo import DloSet, Factor, constants_of
 from opdim.ranks import RankQuery, gamma_consistent, op_rank, shelah_rank2
-from opdim.logic import Elem, PartitionedFormula, conj_all, evaluate, free_vars, signed
+from opdim.logic import (
+    Const, Elem, PartitionedFormula, conj_all, evaluate, free_vars, rename_vars, signed,
+)
 from opdim.patterns import check_ird
 from opdim.contexts import Constraint, FiniteContext
 
@@ -84,7 +86,7 @@ def random_qf_formula(rng, variables, consts, depth=3, rel="<", const=lambda c: 
 # The reference
 
 
-REFERENCE_MAY_IMPORT = {"evaluate_q", "constants_of", "DloError"}
+REFERENCE_MAY_IMPORT = {"constants_of", "DloError"}
 
 
 def test_reference_imports_nothing_it_checks():
@@ -117,9 +119,37 @@ def test_evaluate_q_atom_and_constant():
     assert not evaluate_q(f, {"x": Q(3, 2)})
 
 
-def test_evaluate_q_rejects_quantifiers():
-    with pytest.raises(DloError):
-        evaluate_q(parse_formula("exists y. x < y"), {"x": Q(0)})
+def test_evaluate_q_decides_quantified_formulas_as_the_reference():
+    # evaluate_q is the engine's decision procedure at rationals: on the
+    # constants, between them and beyond them, it answers as the grid
+    # evaluator, which quantifies over every point of the reference grid
+    f = parse_formula("exists y. x < y & y < 1")
+    assert evaluate_q(f, {"x": Q(1, 2)}) and not evaluate_q(f, {"x": Q(1)})
+    rng = random.Random(61)
+    quantified = 0
+    for case in range(240):
+        variables = rng.sample(("x", "y", "z"), rng.randint(0, 2))
+        consts = sorted({Q(rng.randint(-2, 2), rng.choice((1, 2)))
+                         for _ in range(rng.randint(0 if variables else 1, 2))})
+        f = random_quantified_formula(rng, variables, consts)
+        quantified += quantifies(f)
+        for env in sample_envs(sorted(free_vars(f)), consts, 12, seed=case):
+            assert evaluate_q(f, env) == grid_holds(f, env, consts), (case, f, env)
+    assert quantified > 120
+
+
+@pytest.mark.parametrize("f, message", [
+    (Atom("R", (Var("x"), Var("x"))), "relation R is not part of the order signature"),
+    (Atom("<", (Var("x"), Var("x"), Var("x"))), "relation < is not part of the order signature"),
+    (Eq(Var("x"), Const("c")), "has no rational value"),
+    (Exists("y", Atom("<", (Var("y"), Elem("a")))), "has no rational value"),
+], ids=("R", "ternary <", "Const", "Elem"))
+def test_evaluate_q_names_what_the_order_does_not_interpret(f, message):
+    with pytest.raises(DloError, match=message):
+        evaluate_q(f, {"x": Q(0)})
+    ctx = DloContext(1)
+    with pytest.raises(DloError, match=message):
+        ctx.to_set(rename_vars(f, {"x": "x0"}))
 
 
 def test_evaluate_q_rejects_unbound():
@@ -332,7 +362,7 @@ def test_cells_come_in_the_reference_order():
         else:
             f = random_qf_formula(rng, variables, consts)
         more = [Q(rng.randint(-3, 3), 2)] if rng.random() < 0.3 else []
-        quantified += dlo._quantified(f)
+        quantified += quantifies(f)
         extra += bool(more)
         got, want = ([(d.blocks, d.sample()) for d in diagrams(f, variables, more)]
                      for diagrams in (order_diagrams, ref.order_diagrams))
@@ -767,6 +797,14 @@ def test_factors_agree_with_the_diagrams_of_the_conjunction():
     assert factored > 25 and joins > 10  # the cases do factor and join
 
 
+def quantifies(f):
+    if isinstance(f, (Exists, Forall)):
+        return True
+    if isinstance(f, Not):
+        return quantifies(f.sub)
+    return isinstance(f, (And, Or, Imp)) and (quantifies(f.left) or quantifies(f.right))
+
+
 def random_quantified_formula(rng, variables, consts, depth=3):
     """A random formula over `variables` and `consts` that quantifies now
     and then, over a fresh variable or over one of `variables`, which the
@@ -797,7 +835,7 @@ def test_quantified_bodies_are_decided_as_their_qe_form():
         consts = sorted({Q(rng.randint(-2, 2), rng.choice((1, 2)))
                          for _ in range(rng.randint(0, 2))})
         body = random_quantified_formula(rng, ctx.obj_vars + params, consts)
-        quantified += dlo._quantified(body)
+        quantified += quantifies(body)
         phi, free = (PartitionedFormula(b, ctx.obj_vars, params) for b in (body, ref.qe(body)))
         pool = sorted(set(consts) | {Q(v, 2) for v in range(-5, 6)})
         candidates = [tuple(rng.choice(pool) for _ in params) for _ in range(rng.randint(1, 4))]
@@ -880,8 +918,8 @@ def test_restrict_splits_only_the_factor_it_mentions(monkeypatch):
 def test_restrict_refines_and_evaluates_once_per_instance(monkeypatch):
     ctx = DloContext(2)
     s = ctx.to_set(parse_formula("x0 < x1 | x1 = 1"))
-    phi = parse_partitioned("x0 x1 ; w : x0 < w")  # an atom: evaluate_q does not recurse
-    calls = dict.fromkeys(("_split", "evaluate_q"), 0)
+    phi = parse_partitioned("x0 x1 ; w : x0 < w")  # an atom: _holds does not recurse
+    calls = dict.fromkeys(("_split", "_holds"), 0)
     for name in calls:
         def counted(*args, real=getattr(dlo, name), name=name):
             calls[name] += 1
@@ -892,7 +930,7 @@ def test_restrict_refines_and_evaluates_once_per_instance(monkeypatch):
     assert again.joined() is pos and neg.consts == pos.consts == (Q(1, 2), Q(1))
     # one new constant: each cell of s is split once, each refined cell decided once
     assert calls == {"_split": len(s.cells),
-                     "evaluate_q": len(neg.cells) + len(pos.cells)}
+                     "_holds": len(neg.cells) + len(pos.cells)}
 
 
 def coarsened(s, consts, variables):

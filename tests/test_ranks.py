@@ -149,6 +149,9 @@ class NoRepeatContext:
     def cache_key(self, s):
         return self.inner.cache_key(s.real)
 
+    def pick(self, s):
+        return self.inner.pick(s.real)
+
     def instance_candidates(self, phi, s):
         s.used = frozenset()  # the engine chooses the instances that split s
         return self.inner.instance_candidates(phi, s.real)
@@ -168,7 +171,8 @@ class NoRepeatContext:
 ], ids=("Q^2 n=2", "grid n=2", "chain n=3"))
 def test_op_rank_tries_no_choice_that_repeats_an_instance(make, texts, signature, n, cap):
     # a repeated instance leaves a mixed sign cell empty, so skipping such
-    # choices changes neither the answer nor the memo
+    # choices changes neither the answer nor the memo; gamma_consistent's
+    # branching system, one formula at a time, skips them too
     delta = tuple(parse_partitioned(t, signature) if signature else parse_partitioned(t)
                   for t in texts)
     plain = make()
@@ -177,6 +181,9 @@ def test_op_rank_tries_no_choice_that_repeats_an_instance(make, texts, signature
     engines = [_RankEngine(ctx, delta, n) for ctx in (recording, plain)]
     values = [_capped_rank(e, RankQuery(e.context, top, delta, n=n, cap=cap)) for e in engines]
     assert values[0] == values[1] and engines[0].memo == engines[1].memo
+    for phi in delta:
+        answers = [gamma_consistent(ctx, top, phi, n, 1) for ctx in (recording, plain)]
+        assert answers[0] == answers[1]
     assert recording.restricts > 0
 
 
