@@ -14,13 +14,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 from . import dlo, multiorder, patterns, ranks
 from .contexts import BudgetExceededError, FiniteContext
 from .logic import (
-    DLO_SIGNATURE, Elem, LogicError, load_structure,
+    DLO_SIGNATURE, Elem, LogicError, Record, load_structure,
     parse_formula, parse_partitioned, print_formula,
 )
 from .multiorder import MultiOrderError
@@ -116,8 +115,8 @@ def _named(x, structure):
         return Elem(_parse_value(x.value, structure))
     if isinstance(x, tuple):
         return tuple(_named(y, structure) for y in x)
-    if is_dataclass(x):
-        return replace(x, **{k.name: _named(getattr(x, k.name), structure) for k in fields(x)})
+    if isinstance(x, Record):
+        return x._replace(**{k: _named(getattr(x, k), structure) for k in x._fields})
     return x
 
 

@@ -10,22 +10,23 @@ Both inherit ``sat`` from ``Context``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .logic import FiniteStructure, PartitionedFormula, evaluate
+from .logic import FiniteStructure, PartitionedFormula, Record, _set, evaluate
 
 
 class BudgetExceededError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """A signed instance phi(x, params)^sign along a search branch."""
 
-    phi: PartitionedFormula
-    params: tuple
-    sign: int
+    __slots__ = ("phi", "params", "sign")
+
+    def __init__(self, phi, params, sign):
+        _set(self, "phi", phi)
+        _set(self, "params", params)
+        _set(self, "sign", sign)
 
 
 class Context:
@@ -118,7 +119,9 @@ class FiniteContext(Context):
         return self.instance_candidates(phi)
 
 
-@dataclass(frozen=True)
-class FinSet:
-    arity: int
-    mask: int
+class FinSet(Record):
+    __slots__ = ("arity", "mask")
+
+    def __init__(self, arity, mask):
+        _set(self, "arity", arity)
+        _set(self, "mask", mask)

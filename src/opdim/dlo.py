@@ -25,13 +25,13 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .contexts import BudgetExceededError, Context
 from .logic import (
-    And, Atom, Bot, Eq, Exists, Forall, Imp, Not, Or, Rat, Top, Var,
-    FALSE, TRUE, PartitionedFormula, conj_all, disj_all, free_vars, rename_vars,
+    And, Atom, Bot, Eq, Exists, Forall, Imp, Not, Or, Rat, Record, Top, Var,
+    FALSE, TRUE, PartitionedFormula, _print_term, _set, conj_all, disj_all, free_vars,
+    rename_vars,
 )
 
 
@@ -57,13 +57,12 @@ def constants_of(f):
 # Cells: the listing, elimination and satisfiability queries
 
 
-@dataclass(frozen=True)
-class OrderDiagram:
+class OrderDiagram(Record):
     """A cell as `order_diagrams` lists it: a complete consistent arrangement
     of variables and constants, blocks in strictly increasing order; members
     of a block are equal."""
 
-    blocks: tuple  # ((frozenset_of_var_names, const_value_or_None), ...)
+    __slots__ = ("blocks",)  # ((frozenset_of_var_names, const_value_or_None), ...)
 
     def sample(self):
         """Rationals for the variables: the point `DloContext.pick` reads off
@@ -101,7 +100,7 @@ def _lift(f):
         if isinstance(a, Rat):
             return Var(_cname(a.value))
         if not isinstance(a, Var):
-            raise DloError(f"term {a!r} has no rational value")
+            raise DloError(f"term {_print_term(a)} has no rational value")
         return a
     if isinstance(f, Atom):
         if f.rel != "<" or len(f.args) != 2:
@@ -110,9 +109,9 @@ def _lift(f):
     if isinstance(f, Eq):
         return Eq(term(f.left), term(f.right))
     if isinstance(f, (Not, Exists, Forall)):
-        return replace(f, sub=_lift(f.sub))
+        return f._replace(sub=_lift(f.sub))
     if isinstance(f, (And, Or, Imp)):
-        return replace(f, left=_lift(f.left), right=_lift(f.right))
+        return f._replace(left=_lift(f.left), right=_lift(f.right))
     if isinstance(f, (Top, Bot)):
         return f
     raise DloError(f"cannot evaluate {f!r} over the rationals")
@@ -245,12 +244,16 @@ def satisfiable_q(f):
 # Dimension
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    dimension: object   # int, or None for the empty set
-    method: str
-    coords: tuple = None
-    box: tuple = None   # per coordinate, an open interval (lo, hi)
+class DimensionReport(Record):
+    __slots__ = ("dimension",  # an int, or None for the empty set
+                 "method", "coords",
+                 "box")        # per coordinate, an open interval (lo, hi)
+
+    def __init__(self, dimension, method, coords=None, box=None):
+        _set(self, "dimension", dimension)
+        _set(self, "method", method)
+        _set(self, "coords", coords)
+        _set(self, "box", box)
 
     @property
     def empty(self):
@@ -314,15 +317,26 @@ def dimension(f, m, method="both") -> DimensionReport:
     factor's coordinates and box (see `_open_box`).  The empty set gets a
     distinguished report.
     """
+    ctx = _coordinates(f, m)
+    if method not in ("diagram", "projection", "both"):
+        raise DloError(f"unknown method {method!r}")
+    return _dimension_of(ctx, ctx.to_set(f), f, method)
+
+
+def _coordinates(f, m):
+    """The context of (Q,<)^m, once f's free variables are known to be among
+    its coordinates x0..x{m-1}."""
     if m < 0:
         raise DloError("the variable count m must be nonnegative")
     ctx = DloContext(m)
     extra = free_vars(f) - set(ctx.obj_vars)
     if extra:
         raise _outside(extra, m)
-    if method not in ("diagram", "projection", "both"):
-        raise DloError(f"unknown method {method!r}")
-    s = ctx.to_set(f)
+    return ctx
+
+
+def _dimension_of(ctx, s, f, method):
+    """`dimension`'s report by `method` on s, the set of f in ctx."""
     if ctx.is_empty(s):
         return DimensionReport(None, method)
     d_dim = sum(max(len({q for q in cell if q % (len(g.group) + 1)}) for cell in g.cells)
@@ -358,8 +372,7 @@ def standard_grid(consts):
     return [_point((q,), consts, 2)[0] for q in range(1, 2 * len(consts) + 2)]
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Record):
     """A subset of (Q,<)^group for a group of the context's variables (their
     indices, increasing): `consts` is the sorted tuple c_0 < ... < c_{m-1}
     of its constants, and `cells` its cells, in a fixed order, as order
@@ -369,9 +382,12 @@ class Factor:
     c_i (above every constant for i = m) at i(k+1)+j.  The form is
     canonical, so equal cells are equal tuples."""
 
-    group: tuple
-    consts: tuple
-    cells: tuple
+    __slots__ = ("group", "consts", "cells", "_hash", "_normal", "_key")
+
+    def __init__(self, group, consts, cells):
+        _set(self, "group", group)
+        _set(self, "consts", consts)
+        _set(self, "cells", cells)
 
     def __hash__(self):
         # hashing the Fraction constants is hot in restrict's partition memo; cache it
@@ -379,7 +395,7 @@ class Factor:
             return self._hash
         except AttributeError:
             h = hash((self.group, self.consts, self.cells))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
             return h
 
     def normal_form(self):
@@ -402,15 +418,14 @@ class Factor:
                                  for m in merged):
                 consts, cells = consts[:r] + consts[r + 1:], tuple(merged)
         normal = self if consts is self.consts else Factor(self.group, consts, cells)
-        object.__setattr__(self, "_normal", normal)
+        _set(self, "_normal", normal)
         return normal
 
 
 _UNIT = Factor((), (), ((),))   # the one point of (Q,<)^0
 
 
-@dataclass(frozen=True)
-class DloSet:
+class DloSet(Record):
     """A subset of (Q,<)^k as the product of its `factors`, `Factor`s over
     disjoint groups of the context's variables that cover them all, in the
     order of their least variables (k = 0 has the one factor `_UNIT`).  The
@@ -418,24 +433,27 @@ class DloSet:
     empty set as one factor over every variable with no cells, so a set is
     empty iff its first factor is."""
 
-    factors: tuple
+    __slots__ = ("factors", "_hash", "_joined")
+
+    def __init__(self, factors):
+        _set(self, "factors", factors)
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
             h = hash(self.factors)
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
             return h
 
     def joined(self):
         """The same set as one factor over every variable, the form whose
         normal form keys and grids read (cached, like the hash; a one-factor
         set's is that factor)."""
-        joined = self.__dict__.get("_joined")  # no exception to catch: most sets are asked once
+        joined = getattr(self, "_joined", None)  # no exception to catch: most sets are asked once
         if joined is None:
             joined = functools.reduce(_join, self.factors)
-            object.__setattr__(self, "_joined", joined)
+            _set(self, "_joined", joined)
         return joined
 
 
@@ -707,7 +725,7 @@ class DloContext(Context):
             pass
         key = (frozenset(s.cells), tuple(c if c in fixed else None for c in s.consts),
                tuple(bisect_left(s.consts, c) for c in fixed))
-        object.__setattr__(s, "_key", (fixed, key))
+        _set(s, "_key", (fixed, key))
         return key
 
     def pick(self, s):
@@ -772,10 +790,11 @@ def ird_witness_from_dim(f, m, length=3):
 
     if length < 0:
         raise DloError("the pattern length must be nonnegative")
-    report = dimension(f, m, method="projection")
+    ctx = _coordinates(f, m)
+    s = ctx.to_set(f)
+    report = _dimension_of(ctx, s, f, "projection")
     if report.empty or report.dimension == 0:
         return None
-    ctx = DloContext(m)
     formulas = []
     witnesses = []
     for i, coord in enumerate(report.coords):
@@ -786,7 +805,7 @@ def ird_witness_from_dim(f, m, length=3):
                     for j in range(length))
         formulas.append(psi)
         witnesses.append(row)
-    pattern = IRDPattern(ctx, ctx.to_set(f), tuple(formulas), tuple(witnesses))
+    pattern = IRDPattern(ctx, s, tuple(formulas), tuple(witnesses))
     ok, failing = check_ird(pattern)
     if not ok:
         raise DloError(f"constructed pattern failed at selector {failing}")

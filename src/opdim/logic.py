@@ -9,8 +9,8 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 
 class LogicError(Exception):
@@ -43,90 +43,183 @@ class InsufficientCodesError(LogicError):
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+_set = object.__setattr__   # how a constructor fills in a field: assignment raises
+
+
+class Record:
+    """The base of opdim's immutable value classes.
+
+    A subclass lists its fields in `__slots__`, in the order its constructor
+    takes them; a slot whose name starts with `_` is a cache, not a field.
+    The constructor sets each field with `object.__setattr__` (the one given
+    here takes the fields, all required, by position or name).  Records of
+    one class are equal when their fields are, hash by their fields, print
+    as `Name(field=value, ...)`, and `_replace` builds a changed copy through
+    the constructor.  The field list is read once, when the class is
+    created; no method is generated, so creating a record class costs
+    microseconds where a dataclass costs a millisecond of import time."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"record class {cls.__qualname__} must declare __slots__")
+        cls._fields += tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        # what equality and the hash compare, read in one C call: the fields'
+        # values (a lone field's value alone), or a record's class if it has none
+        cls._compared = attrgetter(*cls._fields or ("__class__",))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        rest = names[len(args):]
+        if len(args) > len(names) or kwargs.keys() != set(rest):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, args + tuple(map(kwargs.__getitem__, rest))):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of an immutable "
+                             f"{type(self).__qualname__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of an immutable "
+                             f"{type(self).__qualname__}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._compared(self) == other._compared(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._compared(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # pickle and copy rebuild through the constructor
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, through the constructor."""
+        unknown = changes.keys() - set(self._fields)
+        if unknown:
+            raise TypeError(f"{type(self).__qualname__} has no field {sorted(unknown)[0]!r}")
+        return type(self)(*[changes.get(n, getattr(self, n)) for n in self._fields])
+
+
+# ---------------------------------------------------------------------------
 # Terms and formulas
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     """A named constant from the signature."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Rat:
+class Rat(Record):
     """An exact rational literal; only meaningful in the symbolic order context."""
 
-    value: Fraction
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Elem:
+class Elem(Record):
     """A direct element reference (a formula parameter from a structure)."""
 
-    value: object
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Atom:
-    rel: str
-    args: tuple
+class Atom(Record):
+    __slots__ = ("rel", "args")
+
+    def __init__(self, rel, args):
+        _set(self, "rel", rel)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: object
-    right: object
+class Eq(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Not:
-    sub: object
+class Not(Record):
+    __slots__ = ("sub",)
+
+    def __init__(self, sub):
+        _set(self, "sub", sub)
 
 
-@dataclass(frozen=True)
-class And:
-    left: object
-    right: object
+class And(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
+class Or(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Imp:
-    left: object
-    right: object
+class Imp(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    sub: object
+class Forall(Record):
+    __slots__ = ("var", "sub")
+
+    def __init__(self, var, sub):
+        _set(self, "var", var)
+        _set(self, "sub", sub)
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    sub: object
+class Exists(Record):
+    __slots__ = ("var", "sub")
+
+    def __init__(self, var, sub):
+        _set(self, "var", var)
+        _set(self, "sub", sub)
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
+class Top(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bot:
-    pass
+class Bot(Record):
+    __slots__ = ()
 
 
 TRUE = Top()
@@ -227,14 +320,12 @@ def rename_vars(f, renaming):
 # Signatures and structures
 
 
-@dataclass(frozen=True)
-class Signature:
-    relations: tuple = ()
-    constants: tuple = ()
+class Signature(Record):
+    __slots__ = ("relations", "constants")
 
-    def __post_init__(self):
-        object.__setattr__(self, "relations", tuple((str(n), int(a)) for n, a in self.relations))
-        object.__setattr__(self, "constants", tuple(self.constants))
+    def __init__(self, relations=(), constants=()):
+        _set(self, "relations", tuple((str(n), int(a)) for n, a in relations))
+        _set(self, "constants", tuple(constants))
         names = [n for n, _ in self.relations] + list(self.constants)
         if len(set(names)) != len(names):
             raise LogicError("signature names must be pairwise distinct")
@@ -252,16 +343,14 @@ class Signature:
 DLO_SIGNATURE = Signature(relations=(("<", 2),))
 
 
-@dataclass(frozen=True)
-class FiniteStructure:
-    signature: Signature
-    universe: tuple
-    relations: dict = field(default_factory=dict)
-    constants: dict = field(default_factory=dict)
-    allow_empty: bool = False
+class FiniteStructure(Record):
+    __slots__ = ("signature", "universe", "relations", "constants", "allow_empty")
 
-    def __post_init__(self):
-        object.__setattr__(self, "universe", tuple(self.universe))
+    def __init__(self, signature, universe, relations=None, constants=None, allow_empty=False):
+        relations = {} if relations is None else relations
+        _set(self, "signature", signature)
+        _set(self, "universe", tuple(universe))
+        _set(self, "allow_empty", allow_empty)
         uni = set(self.universe)
         if len(uni) != len(self.universe):
             raise LogicError("universe elements must be distinct")
@@ -269,33 +358,34 @@ class FiniteStructure:
             raise LogicError("empty universe must be explicitly flagged")
         rels = {}
         for name, arity in self.signature.relations:
-            table = frozenset(tuple(t) for t in self.relations.get(name, ()))
+            table = frozenset(tuple(t) for t in relations.get(name, ()))
             for t in table:
                 if len(t) != arity:
                     raise LogicError(f"tuple {t} has wrong arity for {name}")
                 if not set(t) <= uni:
                     raise LogicError(f"tuple {t} not within the universe")
             rels[name] = table
-        unknown = set(self.relations) - {n for n, _ in self.signature.relations}
+        unknown = set(relations) - {n for n, _ in self.signature.relations}
         if unknown:
             raise LogicError(f"relations not in signature: {sorted(unknown)}")
-        object.__setattr__(self, "relations", rels)
-        consts = dict(self.constants)
+        _set(self, "relations", rels)
+        consts = dict(constants or {})
         for c in self.signature.constants:
             if c not in consts:
                 raise LogicError(f"constant {c} is not interpreted")
             if consts[c] not in uni:
                 raise LogicError(f"constant {c} maps outside the universe")
-        object.__setattr__(self, "constants", consts)
+        _set(self, "constants", consts)
 
     def __hash__(self):
         return hash((self.signature, self.universe,
                      tuple(sorted((k, v) for k, v in self.constants.items())),
                      tuple(sorted((k, tuple(sorted(v))) for k, v in self.relations.items()))))
 
-    def __eq__(self, other):
-        return (isinstance(other, FiniteStructure)
-                and self.signature == other.signature
+    def __eq__(self, other):  # allow_empty only guards construction
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.signature == other.signature
                 and self.universe == other.universe
                 and self.relations == other.relations
                 and self.constants == other.constants)
@@ -407,17 +497,15 @@ def solutions(structure: FiniteStructure, f, variables):
 # Partitioned formulas and formula sets
 
 
-@dataclass(frozen=True)
-class PartitionedFormula:
+class PartitionedFormula(Record):
     """phi(x; y): an object-variable tuple x and a parameter tuple y."""
 
-    body: object
-    obj_vars: tuple
-    param_vars: tuple = ()
+    __slots__ = ("body", "obj_vars", "param_vars", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "obj_vars", tuple(self.obj_vars))
-        object.__setattr__(self, "param_vars", tuple(self.param_vars))
+    def __init__(self, body, obj_vars, param_vars=()):
+        _set(self, "body", body)
+        _set(self, "obj_vars", tuple(obj_vars))
+        _set(self, "param_vars", tuple(param_vars))
         if set(self.obj_vars) & set(self.param_vars):
             raise LogicError("object and parameter variables must be disjoint")
         extra = free_vars(self.body) - set(self.obj_vars) - set(self.param_vars)
@@ -425,12 +513,12 @@ class PartitionedFormula:
             raise LogicError(f"free variables {sorted(extra)} not declared")
 
     def __hash__(self):
-        # the recursive dataclass hash is hot in rank memo lookups; cache it
+        # the recursive formula hash is hot in rank memo lookups; cache it
         try:
             return self._hash
         except AttributeError:
             h = hash((self.body, self.obj_vars, self.param_vars))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
             return h
 
     def instantiate(self, params):
@@ -457,16 +545,15 @@ def _as_term(value):
     return Elem(value)
 
 
-@dataclass(frozen=True)
-class DefinableSubset:
+class DefinableSubset(Record):
     """A materialized definable set: element tuples of a fixed arity."""
 
-    structure: FiniteStructure
-    arity: int
-    tuples: frozenset
+    __slots__ = ("structure", "arity", "tuples")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tuples", frozenset(tuple(t) for t in self.tuples))
+    def __init__(self, structure, arity, tuples):
+        _set(self, "structure", structure)
+        _set(self, "arity", arity)
+        _set(self, "tuples", frozenset(tuple(t) for t in tuples))
         uni = set(self.structure.universe)
         for t in self.tuples:
             if len(t) != self.arity or not set(t) <= uni:

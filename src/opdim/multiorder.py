@@ -10,29 +10,27 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
-from functools import cached_property
 
 from .contexts import BudgetExceededError, FiniteContext
-from .logic import FiniteStructure, PartitionedFormula, Signature
+from .logic import FiniteStructure, Record, Signature, _set
 
 
 class MultiOrderError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class MultiOrder:
+class MultiOrder(Record):
     """n strict total orders on one universe; order i lists the universe in
     increasing sequence."""
 
-    n: int
-    universe: tuple
-    orders: tuple  # n permutations of the universe
+    __slots__ = ("n", "universe",
+                 "orders",   # n permutations of the universe
+                 "_ranks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "universe", tuple(self.universe))
-        object.__setattr__(self, "orders", tuple(tuple(o) for o in self.orders))
+    def __init__(self, n, universe, orders):
+        _set(self, "n", n)
+        _set(self, "universe", tuple(universe))
+        _set(self, "orders", tuple(tuple(o) for o in orders))
         if self.n < 1:
             raise MultiOrderError("n must be >= 1")
         if len(self.orders) != self.n:
@@ -44,16 +42,16 @@ class MultiOrder:
     def size(self):
         return len(self.universe)
 
-    @cached_property
-    def _ranks(self):
-        # built on first use, not in __post_init__: generate_generic makes
-        # |B| intermediate multi-orders that are never compared
-        return tuple({b: r for r, b in enumerate(o)} for o in self.orders)
-
     def positions(self, i):
         """Element -> 0-based rank in order i.  The mapping is shared by
         every call; read it, do not change it."""
-        return self._ranks[i]
+        try:
+            return self._ranks[i]
+        except AttributeError:
+            # built on first use, not in __init__: generate_generic makes
+            # |B| intermediate multi-orders that are never compared
+            _set(self, "_ranks", tuple({b: r for r, b in enumerate(o)} for o in self.orders))
+            return self._ranks[i]
 
     def less(self, i, a, b):
         pos = self.positions(i)
@@ -67,36 +65,33 @@ class MultiOrder:
                                 for o in self.orders))
 
 
-@dataclass(frozen=True)
-class MultiCut:
+class MultiCut(Record):
     """One cut per order, as the count of elements below it."""
 
-    cuts: tuple
+    __slots__ = ("cuts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "cuts", tuple(self.cuts))
+    def __init__(self, cuts):
+        _set(self, "cuts", tuple(cuts))
 
 
-@dataclass(frozen=True)
-class ExtensionSpec:
+class ExtensionSpec(Record):
     """Insertion position of a new point in each order."""
 
-    positions: tuple
+    __slots__ = ("positions",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(self.positions))
+    def __init__(self, positions):
+        _set(self, "positions", tuple(positions))
 
 
 GRID = "grid"
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """Point map into another multi-order, or into the coordinatewise grid."""
 
-    source: MultiOrder
-    target: object  # MultiOrder, or the string "grid"
-    point_map: tuple  # pairs (element, image), source order
+    __slots__ = ("source",
+                 "target",      # a MultiOrder, or the string "grid"
+                 "point_map")   # pairs (element, image), source order
 
     def __call__(self, a):
         return dict(self.point_map)[a]
@@ -131,11 +126,13 @@ def check_embedding(e: Embedding):
 # Operations
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    order_index: int = None
-    message: str = None
+class ValidationReport(Record):
+    __slots__ = ("ok", "order_index", "message")
+
+    def __init__(self, ok, order_index=None, message=None):
+        _set(self, "ok", ok)
+        _set(self, "order_index", order_index)
+        _set(self, "message", message)
 
 
 def validate(B: MultiOrder) -> ValidationReport:
@@ -193,11 +190,8 @@ def linearize_grid(N, n, seed, size_cap=4096):
     return mo, ok
 
 
-@dataclass(frozen=True)
-class Amalgam:
-    result: MultiOrder
-    embed_b: Embedding
-    embed_c: Embedding
+class Amalgam(Record):
+    __slots__ = ("result", "embed_b", "embed_c")
 
 
 def _topo_merge(elements, arcs):
@@ -322,17 +316,20 @@ def extension_property_level(B: MultiOrder, k) -> bool:
 # The finite multi-order-property witness check
 
 
-@dataclass(frozen=True)
-class PictureWitness:
+class PictureWitness(Record):
     """A multi-order drawn inside a host structure: g maps elements to host
     tuples, and phi is the candidate cut-defining formula."""
 
-    source: MultiOrder
-    host: object  # FiniteStructure, FiniteContext, or the symbolic context
-    point_map: tuple  # pairs (element, host tuple)
-    phi: PartitionedFormula
+    __slots__ = ("source",
+                 "host",        # a FiniteStructure, FiniteContext, or the symbolic context
+                 "point_map",   # pairs (element, host tuple)
+                 "phi")
 
-    def __post_init__(self):
+    def __init__(self, source, host, point_map, phi):
+        _set(self, "source", source)
+        _set(self, "host", host)
+        _set(self, "point_map", point_map)
+        _set(self, "phi", phi)
         images = [img for _, img in self.point_map]
         if len(set(images)) != len(images):
             raise MultiOrderError("the picture map must be injective")
@@ -345,16 +342,14 @@ class PictureWitness:
         return self.host
 
 
-@dataclass(frozen=True)
-class MopReport:
+class MopReport(Record):
     """The definable multi-cuts are the product of the per-order lists
     `cuts`: cuts[i] holds the positions c such that the first c elements of
     order i form a trace.  Every other multi-cut is missing."""
 
-    total: int
-    definable: int
-    cuts: tuple    # per order, the definable cut positions in increasing order
-    status: str    # "exhaustive" | "budget"
+    __slots__ = ("total", "definable",
+                 "cuts",     # per order, the definable cut positions in increasing order
+                 "status")   # "exhaustive" | "budget"
 
     @property
     def complete(self):

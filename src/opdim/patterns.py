@@ -4,10 +4,9 @@ value sequences."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .contexts import BudgetExceededError, Constraint
-from .logic import And, Imp, Not, PartitionedFormula, rename_vars
+from .logic import And, Imp, Not, PartitionedFormula, Record, _set, rename_vars
 from .ranks import InconsistentTypeError
 
 SELECTOR_BOUND = 10 ** 6
@@ -17,20 +16,18 @@ class PatternError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class IRDPattern:
+class IRDPattern(Record):
     """Rows of formulas with witness sequences; every threshold selector
     f : depth -> length must yield a consistent type."""
 
-    context: object
-    base: object
-    formulas: tuple
-    witnesses: tuple  # witnesses[i][j] = parameter tuple for row i, index j
+    __slots__ = ("context", "base", "formulas",
+                 "witnesses")   # witnesses[i][j] = parameter tuple for row i, index j
 
-    def __post_init__(self):
-        object.__setattr__(self, "formulas", tuple(self.formulas))
-        object.__setattr__(self, "witnesses",
-                           tuple(tuple(tuple(w) for w in row) for row in self.witnesses))
+    def __init__(self, context, base, formulas, witnesses):
+        _set(self, "context", context)
+        _set(self, "base", base)
+        _set(self, "formulas", tuple(formulas))
+        _set(self, "witnesses", tuple(tuple(tuple(w) for w in row) for row in witnesses))
         if len(self.formulas) != len(self.witnesses):
             raise PatternError("one witness row per formula")
         lengths = {len(row) for row in self.witnesses}
@@ -66,9 +63,8 @@ class IRDPattern:
         }
 
 
-@dataclass(frozen=True)
 class ICTPattern(IRDPattern):
-    pass
+    __slots__ = ()
 
 
 def _selector_space(depth, length, bound):
@@ -143,17 +139,15 @@ def ird_to_ict(pattern: IRDPattern) -> ICTPattern:
 # Search
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     """A search's budget bounds its selector checks, one satisfiability
     query each.  "found": `pattern` is the first valid pattern in pool and
     grid order; "none_exhaustive": every candidate was checked and none is
     valid; "none_budget": the checks ran out first, and `checks_used` reads
     budget + 1.  `pattern` is None unless found."""
 
-    status: str          # "found" | "none_exhaustive" | "none_budget"
-    pattern: object
-    checks_used: int
+    __slots__ = ("status",   # "found" | "none_exhaustive" | "none_budget"
+                 "pattern", "checks_used")
 
     @property
     def found(self):
@@ -288,12 +282,11 @@ def dp_rank_lower(context, base, pool, cap, length=3, witness_grid=None,
 # Alternation
 
 
-@dataclass(frozen=True)
-class ConvexPartition:
+class ConvexPartition(Record):
     """Maximal constant runs of a boolean sequence: (start, end, value),
     end exclusive; consecutive and covering."""
 
-    blocks: tuple
+    __slots__ = ("blocks",)
 
     @property
     def block_count(self):

@@ -8,21 +8,21 @@ infinite rank).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .contexts import BudgetExceededError
+from .logic import Record, _set
 
 
 class InconsistentTypeError(Exception):
     """The base type has no realizations; ranks are undefined."""
 
 
-@dataclass(frozen=True)
-class RankValue:
-    value: int
-    capped: bool = False
+class RankValue(Record):
+    __slots__ = ("value", "capped")
 
-    def __post_init__(self):
+    def __init__(self, value, capped=False):
+        _set(self, "value", value)
+        _set(self, "capped", capped)
         if self.value < 0:
             raise ValueError("rank values are nonnegative")
 
@@ -48,16 +48,15 @@ class RankValue:
         return {"at_least": self.value} if self.capped else {"exact": self.value}
 
 
-@dataclass(frozen=True)
-class RankQuery:
-    context: object
-    subset: object
-    delta: tuple
-    n: int = 1
-    cap: int = 6
+class RankQuery(Record):
+    __slots__ = ("context", "subset", "delta", "n", "cap")
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", tuple(self.delta))
+    def __init__(self, context, subset, delta, n=1, cap=6):
+        _set(self, "context", context)
+        _set(self, "subset", subset)
+        _set(self, "delta", tuple(delta))
+        _set(self, "n", n)
+        _set(self, "cap", cap)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.cap < 1:
@@ -175,12 +174,15 @@ class _Shelah2Engine:
 # Branching constraint systems
 
 
-@dataclass
-class GammaWitness:
+class GammaWitness(Record):
     """Solved branching system: parameters per tree node, witness per leaf."""
 
-    params: dict = field(default_factory=dict)      # node (sign-vector prefix) -> param tuples
-    witnesses: dict = field(default_factory=dict)   # leaf branch -> realization
+    __slots__ = ("params",      # node (sign-vector prefix) -> param tuples
+                 "witnesses")   # leaf branch -> realization
+
+    def __init__(self, params=None, witnesses=None):
+        _set(self, "params", {} if params is None else params)
+        _set(self, "witnesses", {} if witnesses is None else witnesses)
 
     def to_json(self):
         return {

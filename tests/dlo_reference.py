@@ -17,7 +17,7 @@ so it never reuses the code it checks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from opdim.contexts import BudgetExceededError
@@ -140,10 +140,12 @@ def _lift(f):
         return Atom(f.rel, tuple(map(term, f.args)))
     if isinstance(f, Eq):
         return Eq(term(f.left), term(f.right))
-    if isinstance(f, (Not, Exists, Forall)):
-        return replace(f, sub=_lift(f.sub))
+    if isinstance(f, Not):
+        return Not(_lift(f.sub))
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, _lift(f.sub))
     if isinstance(f, (And, Or, Imp)):
-        return replace(f, left=_lift(f.left), right=_lift(f.right))
+        return type(f)(_lift(f.left), _lift(f.right))
     return f
 
 

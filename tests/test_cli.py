@@ -647,6 +647,12 @@ def test_irdwitness_names_a_negative_length(capsys):
     assert code == 2 and "a pattern with formulas needs witnesses" in err
 
 
+def test_uninterpreted_term_is_named_as_written(capsys):
+    # the message once showed the term's repr, Elem(value='1')
+    code, out, err = run(capsys, "omin", "qe", "x < @1")
+    assert code == 2 and out == "" and "term @1 has no rational value" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("omin", "dim", "x0 < 1", "-m", "0"),
     ("omin", "prodcheck", "x0 < 1", "x0 < 2", "-m", "1", "-m1", "0"),

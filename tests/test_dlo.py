@@ -527,6 +527,15 @@ def test_ird_witness_respects_length():
     assert p.length == 5
 
 
+def test_ird_witness_folds_its_formula_once(monkeypatch):
+    # the dimension report and the pattern's base once folded it apart
+    folds, real = [], DloContext._fold
+    monkeypatch.setattr(DloContext, "_fold", lambda *args: folds.append(args) or real(*args))
+    p = ird_witness_from_dim(parse_formula("x0 = x1 & x2 < 0"), 3)
+    assert p.depth == 2 and check_ird(p) == (True, None)
+    assert len(folds) == 1
+
+
 # ---------------------------------------------------------------------------
 # Products
 
