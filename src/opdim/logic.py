@@ -347,7 +347,7 @@ class FiniteStructure(Record):
     __slots__ = ("signature", "universe", "relations", "constants", "allow_empty")
 
     def __init__(self, signature, universe, relations=None, constants=None, allow_empty=False):
-        relations = {} if relations is None else relations
+        relations = relations or {}
         _set(self, "signature", signature)
         _set(self, "universe", tuple(universe))
         _set(self, "allow_empty", allow_empty)
