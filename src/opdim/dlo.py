@@ -1,10 +1,11 @@
-"""The symbolic (Q, <) engine.  One procedure, `_holds`, decides every
-first-order formula at places of its free variables and constants, integer
-positions or the rationals themselves, in the order of the points they
-stand for: an atom compares places, and a quantifier tries its variable on
-and between the ranked places of the formula it binds, which the
-homogeneity of (Q,<) makes exact.  `evaluate_q` is that procedure at
-rationals; the context runs it on cell positions.  One cell
+"""The symbolic (Q, <) engine.  Every first-order formula is compiled once
+into a decision (see `_compile`) at places of its free variables and
+constants, integer positions or the rationals themselves, in the order of
+the points they stand for: an atom compares places, and a quantifier tries
+its variable on and between the ranked places of the formula it binds,
+which the homogeneity of (Q,<) makes exact.  `evaluate_q` runs a decision
+at rationals; the context runs it on cell positions, with an instance's
+parameter values placed among the constants.  One cell
 algebra holds every set: a subset of Q^k is a product of factors over
 disjoint groups of variables (see `DloSet`), each a set of integer cells
 over its own variables and constants (see `Factor`).  A restrict refines
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 from .contexts import BudgetExceededError, Context
 from .logic import (
-    And, Atom, Bot, Eq, Exists, Forall, Imp, Not, Or, Rat, Record, Top, Var,
+    And, Atom, Bot, Eq, Exists, Forall, Imp, LogicError, Not, Or, Rat, Record, Top, Var,
     FALSE, TRUE, PartitionedFormula, _print_term, _set, conj_all, disj_all, free_vars,
     rename_vars,
 )
@@ -88,83 +89,78 @@ class OrderDiagram(Record):
                                  if not all(isinstance(r, Rat) for r in pair)])
 
 
-_cname = "#{}".format   # the variable name a lifted formula gives a constant
+_cname = "#{}".format   # the name under which an env places a constant
 
 
-def _lift(f):
-    """f with each constant c read as the variable `_cname(c)`, so that an env
-    places the constants as it places the variables.  DloError for what
-    (Q,<) does not interpret: a relation other than binary `<`, or a term
-    that is neither a variable nor a rational."""
-    def term(a):
-        if isinstance(a, Rat):
-            return Var(_cname(a.value))
-        if not isinstance(a, Var):
-            raise DloError(f"term {_print_term(a)} has no rational value")
-        return a
+def _place(a):
+    """The name under which an env places the term a: a variable's own, a
+    constant's `_cname`.  DloError for a term (Q,<) does not interpret."""
+    if isinstance(a, Rat):
+        return _cname(a.value)
+    if not isinstance(a, Var):
+        raise DloError(f"term {_print_term(a)} has no rational value")
+    return a.name
+
+
+def _compile(f):
+    """f as a decision: a function of an env that places f's free variables
+    and constants (see `_place`) at integer positions or at rationals, in the
+    order of the points they stand for, so that env decides each atom.  A
+    quantified subformula depends only on the order of the places of its
+    free variables and constants, which it ranks to 1, 3, ..., 2m-1; by the
+    homogeneity of (Q,<), `exists v. g` holds iff g holds with v at one of
+    0, 1, ..., 2m (on a ranked position or in a gap between two), and
+    `forall v. g` iff at all of them.  Its decision keeps the answer on each
+    rank tuple.  DloError for what (Q,<) does not interpret: a relation
+    other than binary `<`, or a term that is neither a variable nor a
+    rational."""
     if isinstance(f, Atom):
         if f.rel != "<" or len(f.args) != 2:
             raise DloError(f"relation {f.rel} is not part of the order signature")
-        return Atom(f.rel, tuple(map(term, f.args)))
+        a, b = map(_place, f.args)
+        return lambda env: env[a] < env[b]
     if isinstance(f, Eq):
-        return Eq(term(f.left), term(f.right))
-    if isinstance(f, (Not, Exists, Forall)):
-        return f._replace(sub=_lift(f.sub))
+        a, b = _place(f.left), _place(f.right)
+        return lambda env: env[a] == env[b]
     if isinstance(f, (And, Or, Imp)):
-        return f._replace(left=_lift(f.left), right=_lift(f.right))
-    if isinstance(f, (Top, Bot)):
-        return f
-    raise DloError(f"cannot evaluate {f!r} over the rationals")
-
-
-def _holds(f, env, memo):
-    """Whether the lifted formula f (see `_lift`) holds where env places its
-    free variables and constants: at integer positions or at rationals, in
-    the order of the points they stand for, so env decides each atom.  A
-    quantified subformula depends only on the order of its free variables'
-    places (a lifted constant is one), which are ranked to 1, 3, ..., 2m-1;
-    by the homogeneity of (Q,<), `exists v. g` holds iff g holds with v at
-    one of 0, 1, ..., 2m (on a ranked position or in a gap between two), and
-    `forall v. g` iff at all of them.  `memo` keeps each quantified
-    subformula's free variables and its answer on each rank tuple."""
-    if isinstance(f, Atom):
-        a, b = f.args
-        return env[a.name] < env[b.name]
-    if isinstance(f, And):
-        return _holds(f.left, env, memo) and _holds(f.right, env, memo)
-    if isinstance(f, Or):
-        return _holds(f.left, env, memo) or _holds(f.right, env, memo)
+        left, right = _compile(f.left), _compile(f.right)
+        if isinstance(f, And):
+            return lambda env: left(env) and right(env)
+        if isinstance(f, Or):
+            return lambda env: left(env) or right(env)
+        return lambda env: not left(env) or right(env)
     if isinstance(f, Not):
-        return not _holds(f.sub, env, memo)
-    if isinstance(f, Eq):
-        return env[f.left.name] == env[f.right.name]
-    if isinstance(f, Imp):
-        return not _holds(f.left, env, memo) or _holds(f.right, env, memo)
+        sub = _compile(f.sub)
+        return lambda env: not sub(env)
     if isinstance(f, (Exists, Forall)):
-        if id(f) not in memo:
-            memo[id(f)] = tuple(free_vars(f)), {}
-        scope, answers = memo[id(f)]
-        at = [env[v] for v in scope]
-        rank = {p: 2 * i + 1 for i, p in enumerate(sorted(set(at)))}
-        key = tuple(map(rank.__getitem__, at))
-        if key not in answers:
-            ranked = dict(zip(scope, key))
-            found = (_holds(f.sub, {**ranked, f.var: p}, memo)
-                     for p in range(2 * len(rank) + 1))
-            answers[key] = any(found) if isinstance(f, Exists) else all(found)
-        return answers[key]
-    return isinstance(f, Top)
+        scope, var, sub = (tuple(free_vars(f).union(map(_cname, constants_of(f)))),
+                           f.var, _compile(f.sub))
+        found, answers = any if isinstance(f, Exists) else all, {}
+
+        def quantified(env):
+            at = [env[v] for v in scope]
+            rank = {p: 2 * i + 1 for i, p in enumerate(sorted(set(at)))}
+            key = tuple(map(rank.__getitem__, at))
+            if key not in answers:
+                ranked = dict(zip(scope, key))
+                answers[key] = found(sub({**ranked, var: p}) for p in range(2 * len(rank) + 1))
+            return answers[key]
+        return quantified
+    if isinstance(f, (Top, Bot)):
+        value = isinstance(f, Top)
+        return lambda env: value
+    raise DloError(f"cannot evaluate {f!r} over the rationals")
 
 
 def evaluate_q(f, env=None):
     """Whether f, quantifiers allowed, holds over (Q,<) where env places its
-    free variables at rationals: `_holds` on the lifted f, each constant
-    placed at its own value."""
+    free variables at rationals: f's decision (see `_compile`), each
+    constant placed at its own value."""
     env = env or {}
     unbound = sorted(free_vars(f).difference(env))
     if unbound:
         raise DloError(f"unbound variable {unbound[0]}")
-    return _holds(_lift(f), {**env, **{_cname(c): c for c in constants_of(f)}}, {})
+    return _compile(f)({**env, **{_cname(c): c for c in constants_of(f)}})
 
 
 def _diagram(cell, consts, names, stride):
@@ -568,28 +564,29 @@ def _join(a, b):
     return Factor(tuple(sorted(group)), consts, tuple(cells))
 
 
-def _divide(factor, variables, body, names, consts):
-    """The factor's constants refined by the body's constants `consts`
-    (sorted; `names` their lifted names), and its refined cells split into
-    (where the body fails, where it holds); variables[i] is the body's name
-    for the context's variable i."""
+def _divide(factor, variables, decide, names, values):
+    """The factor's constants refined by the sorted values `values`, which
+    the env places under `names` (a repeated value takes one position), and
+    its refined cells split by the decision `decide` (see `_compile`) into
+    (where it fails, where it holds); variables[i] is the decision's name for
+    the context's variable i."""
     own = [variables[i] for i in factor.group]
-    consts, cells, at = _refine(factor.consts, factor.cells, len(own) + 1, consts)
+    consts, cells, at = _refine(factor.consts, factor.cells, len(own) + 1, values)
     env = dict(zip(names, at))
-    memo, halves = {}, ([], [])
+    halves = ([], [])
     for cell in cells:
         env.update(zip(own, cell))
-        halves[_holds(body, env, memo)].append(cell)
+        halves[decide(env)].append(cell)
     return consts, halves
 
 
 def _decision(body, variables):
     """What `DloContext._partition` reads of a body whose name for the
-    context's variable i is variables[i]: the body lifted, its constants'
-    lifted names and values (sorted), and the indices of the variables it
+    context's variable i is variables[i]: its decision, its constants'
+    names and values (sorted), and the indices of the variables it
     mentions."""
     consts, free = tuple(sorted(constants_of(body))), free_vars(body)
-    return (_lift(body), tuple(map(_cname, consts)), consts,
+    return (_compile(body), tuple(map(_cname, consts)), consts,
             frozenset(i for i, v in enumerate(variables) if v in free))
 
 
@@ -601,13 +598,14 @@ class DloContext(Context):
     it by each top-level conjunct, and a restrict refines and splits only
     the factor its instance mentions, joining first the factors the
     instance links.  Every formula, quantified or not, is decided on cell
-    positions by `_holds`, the procedure `evaluate_q` runs at rationals;
-    only `order_diagrams` turns cells into order diagrams, to list them.
-    A context keeps what it computes for the life of the object: instance
-    bodies per (phi, params), candidate grids per (phi, extra constants),
-    and the partition memo, which holds for each (set, phi, params) that
-    restrict has seen the set's two sign sets.  Make a new context to drop
-    them.
+    positions by its decision (see `_compile`), which `evaluate_q` runs at
+    rationals; an instance is phi's decision with the parameter values
+    placed among the refined constants.  Only `order_diagrams` turns cells
+    into order diagrams, to list them.  A context keeps what it computes
+    for the life of the object: each phi's decision, candidate grids per
+    (phi, extra constants), and the partition memo, which holds for each
+    (set, phi, params) that restrict has seen the set's two sign sets.
+    Make a new context to drop them.
     `cache_key` and `instance_candidates` read a set through the normal
     form of its joined form, so neither the factoring nor a constant the
     set does not depend on splits its key or adds points to its grid;
@@ -617,7 +615,7 @@ class DloContext(Context):
         self.obj_vars = tuple(f"x{i}" for i in range(num_vars))
         self.arity = num_vars
         self.max_candidates = max_candidates
-        self._bodies = {}  # (phi, params) -> lifted instance body and what restrict reads of it
+        self._decisions = {}  # phi -> what restrict reads of it, see _instance
         self._grids = {}   # (phi, extra constants) -> the candidate parameter tuples
         self._fixed = ()   # the sorted constants of every formula asked about
         self._splits = {}  # (set, phi, params) -> the set's two sign sets, see restrict
@@ -659,37 +657,49 @@ class DloContext(Context):
         if not consts.issubset(self._fixed):  # the same tuple keeps cached keys
             self._fixed = tuple(sorted(consts.union(self._fixed)))
 
-    def _instance_body(self, phi: PartitionedFormula, params):
-        """phi's instance at params as `_partition` reads it (see `_decision`)."""
-        key = (phi, tuple(params))
-        if key not in self._bodies:
-            if len(phi.obj_vars) != self.arity:
-                raise DloError("formula object sort does not match the context")
+    def _instance(self, phi: PartitionedFormula, params):
+        """phi's instance at params as `_partition` reads it: phi's body as
+        `_decision` gives it, kept per phi, with the values of the parameters
+        that occur in it placed, under their names, among its constants."""
+        if len(phi.obj_vars) != self.arity:
+            raise DloError("formula object sort does not match the context")
+        kept = self._decisions.get(phi)
+        if kept is None:
             self._fix(constants_of(phi.body))
-            body = phi.instantiate(tuple(map(Fraction, params)))
-            self._bodies[key] = _decision(body, phi.obj_vars)
-        return self._bodies[key]
+            free = free_vars(phi.body)
+            kept = self._decisions[phi] = (
+                _decision(phi.body, phi.obj_vars),
+                tuple(j for j, y in enumerate(phi.param_vars) if y in free))
+        if len(params) != len(phi.param_vars):
+            raise LogicError("parameter tuple has wrong length")
+        (decide, names, consts, mentions), free = kept
+        if free:
+            places = sorted([*zip(consts, names),
+                             *((Fraction(params[j]), phi.param_vars[j]) for j in free)])
+            consts, names = tuple(v for v, _ in places), tuple(n for _, n in places)
+        return decide, names, consts, mentions
 
     def restrict(self, s, phi, params, sign):
         key = (s, phi, tuple(params))
         halves = self._splits.get(key)
         if halves is None:
-            body = self._instance_body(phi, params)
-            halves = self._splits[key] = self._partition(s, phi.obj_vars, *body)
+            halves = self._splits[key] = self._partition(s, phi.obj_vars,
+                                                         *self._instance(phi, key[2]))
         return halves[1 if sign else 0]
 
-    def _partition(self, s, variables, body, names, consts, mentions):
-        """s split into (where the body fails, where it holds): the factors
-        the body mentions are joined, refined by its constants and divided,
-        and the other factors are kept.  The body's name for the context's
-        variable i is variables[i]."""
+    def _partition(self, s, variables, decide, names, values, mentions):
+        """s split into (where the decision fails, where it holds): the
+        factors it mentions are joined, refined by the values it places
+        under `names` and divided (see `_divide`), and the other factors are
+        kept.  The decision's name for the context's variable i is
+        variables[i]."""
         factors = s.factors
         hit = [f for f in factors if not mentions.isdisjoint(f.group)]
-        if not hit:  # a ground body holds everywhere or nowhere
-            holds = _divide(_UNIT, variables, body, names, consts)[1][1]
+        if not hit:  # a ground decision holds everywhere or nowhere
+            holds = _divide(_UNIT, variables, decide, names, values)[1][1]
             return (self._empty, s) if holds else (s, self._empty)
         joined = functools.reduce(_join, hit)
-        consts, halves = _divide(joined, variables, body, names, consts)
+        consts, halves = _divide(joined, variables, decide, names, values)
         # the joined factor takes the place of the first one it joins
         at = factors.index(hit[0])
         before, after = factors[:at], factors[at + 1:]
@@ -761,18 +771,18 @@ class DloContext(Context):
         """For each candidate b, in order and lazily, whether phi(p, b)
         holds at each point p.  phi's constants, the points' coordinates
         and the values of the candidates (a sequence: it is read twice) are
-        ranked once, and phi's lifted body is decided on the ranks, as
-        restrict decides it on cell positions."""
+        ranked once, and phi's decision (see `_compile`) is run on the
+        ranks, as restrict runs it on cell positions."""
         consts = constants_of(phi.body)
         rank = {v: i for i, v in enumerate(sorted(consts.union(*points, *candidates)))}
-        lifted, env, memo = _lift(phi.body), {_cname(c): rank[c] for c in consts}, {}
+        decide, env = _compile(phi.body), {_cname(c): rank[c] for c in consts}
         points = [tuple(zip(phi.obj_vars, (rank[v] for v in p), strict=True)) for p in points]
         for b in candidates:
             env.update(zip(phi.param_vars, (rank[v] for v in b), strict=True))
             row = []
             for p in points:
                 env.update(p)
-                row.append(_holds(lifted, env, memo))
+                row.append(decide(env))
             yield row
 
 

@@ -67,11 +67,12 @@ class ICTPattern(IRDPattern):
     __slots__ = ()
 
 
-def _selector_space(depth, length, bound):
+def _selector_bound(depth, length, bound):
+    """Raises BudgetExceededError when depth rows of length witnesses have
+    more than `bound` selectors."""
     if depth and length ** depth > bound:
         raise BudgetExceededError(
             f"{length ** depth} selectors exceed the bound {bound}")
-    return itertools.product(range(length), repeat=depth)
 
 
 def _ird_row(psi, witnesses, threshold):
@@ -87,21 +88,47 @@ def _signed_rows(row_constraints, psi, witnesses, length):
     return tuple(row_constraints(psi, witnesses, v) for v in range(length))
 
 
-def _joint(rows, selector):
-    """The constraints of the rows' signed lists at a selector, row by row."""
-    return [c for row, v in zip(rows, selector) for c in row[v]]
+def _walk(context, s, rows, length, allowed=None):
+    """Check the selectors over the rows' signed lists in lexicographic
+    order: a selector passes when s restricted by its rows' constraints, row
+    by row, is nonempty.  The set after each row prefix is kept, so a
+    selector recomputes only from the first row whose value changed.
+    Returns (checks made, the first failing selector or None); with
+    `allowed`, the check after the `allowed`-th is counted but not made."""
+    depth = len(rows)
+    sets, f = [s] * (depth + 1), [0] * depth
+    row, checks = 0, 0  # row: the first row whose value changed
+    while True:
+        checks += 1
+        if allowed is not None and checks > allowed:
+            return checks, None
+        t = sets[row]
+        for i in range(row, depth):
+            for c in rows[i][f[i]]:
+                if context.is_empty(t):
+                    return checks, tuple(f)
+                t = context.restrict(t, c.phi, c.params, c.sign)
+            sets[i + 1] = t
+        if context.is_empty(t):
+            return checks, tuple(f)
+        # the next selector: the last row below length - 1 steps up, later rows restart
+        row = depth - 1
+        while row >= 0 and f[row] == length - 1:
+            f[row] = 0
+            row -= 1
+        if row < 0:
+            return checks, None
+        f[row] += 1
 
 
 def _check(pattern, row_constraints, selector_bound):
     # the bound first: the rows' signed lists grow as depth * length^2
-    selectors = _selector_space(pattern.depth, pattern.length, selector_bound)
+    _selector_bound(pattern.depth, pattern.length, selector_bound)
     s = pattern.context.to_set(pattern.base)
     rows = [_signed_rows(row_constraints, psi, row, pattern.length)
             for psi, row in zip(pattern.formulas, pattern.witnesses)]
-    for f in selectors:
-        if pattern.context.sat(s, _joint(rows, f)) is None:
-            return False, f
-    return True, None
+    failing = _walk(pattern.context, s, rows, pattern.length)[1]
+    return failing is None, failing
 
 
 def check_ird(pattern: IRDPattern, selector_bound=SELECTOR_BOUND):
@@ -140,8 +167,8 @@ def ird_to_ict(pattern: IRDPattern) -> ICTPattern:
 
 
 class SearchResult(Record):
-    """A search's budget bounds its selector checks, one satisfiability
-    query each.  "found": `pattern` is the first valid pattern in pool and
+    """A search's budget bounds its selector checks, one emptiness test
+    each (see `_walk`).  "found": `pattern` is the first valid pattern in pool and
     grid order; "none_exhaustive": every candidate was checked and none is
     valid; "none_budget": the checks ran out first, and `checks_used` reads
     budget + 1.  `pattern` is None unless found."""
@@ -187,13 +214,13 @@ def _search(context, base, pool, depth, length, witness_grid, budget,
         """Whether every selector over rows with these signed lists is
         consistent; raises _BudgetSpent at the check past the budget."""
         nonlocal used
-        for f in _selector_space(len(lists), length, SELECTOR_BOUND):
-            used += 1
-            if budget is not None and used > budget:
-                raise _BudgetSpent
-            if context.sat(s, _joint(lists, f)) is None:
-                return False
-        return True
+        _selector_bound(len(lists), length, SELECTOR_BOUND)
+        checks, failing = _walk(context, s, lists, length,
+                                None if budget is None else budget - used)
+        used += checks
+        if budget is not None and used > budget:
+            raise _BudgetSpent
+        return failing is None
 
     # rows[i] = (psi, witnesses); signed[i][v] = its constraints at selector value v
     rows, signed = [], []

@@ -927,19 +927,33 @@ def test_restrict_splits_only_the_factor_it_mentions(monkeypatch):
 def test_restrict_refines_and_evaluates_once_per_instance(monkeypatch):
     ctx = DloContext(2)
     s = ctx.to_set(parse_formula("x0 < x1 | x1 = 1"))
-    phi = parse_partitioned("x0 x1 ; w : x0 < w")  # an atom: _holds does not recurse
-    calls = dict.fromkeys(("_split", "_holds"), 0)
-    for name in calls:
-        def counted(*args, real=getattr(dlo, name), name=name):
-            calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(dlo, name, counted)
+    phi = parse_partitioned("x0 x1 ; w : x0 < w")  # an atom: one decision, no inner ones
+    calls = dict.fromkeys(("_split", "_compile", "decide"), 0)
+    real_split, real_compile = dlo._split, dlo._compile
+
+    def split(*args):
+        calls["_split"] += 1
+        return real_split(*args)
+
+    def compile_(f):
+        calls["_compile"] += 1
+        decide = real_compile(f)
+
+        def counted(env):
+            calls["decide"] += 1
+            return decide(env)
+        return counted
+    monkeypatch.setattr(dlo, "_split", split)
+    monkeypatch.setattr(dlo, "_compile", compile_)
     pos, neg, again = (ctx.restrict(s, phi, (Q(1, 2),), sign) for sign in (1, 0, 1))
     neg, pos, s = neg.joined(), pos.joined(), s.joined()  # one factor each: no split
     assert again.joined() is pos and neg.consts == pos.consts == (Q(1, 2), Q(1))
     # one new constant: each cell of s is split once, each refined cell decided once
-    assert calls == {"_split": len(s.cells),
-                     "_holds": len(neg.cells) + len(pos.cells)}
+    assert calls == {"_split": len(s.cells), "_compile": 1,
+                     "decide": len(neg.cells) + len(pos.cells)}
+    # a second parameter tuple of the same phi runs the same decision
+    ctx.restrict(again, phi, (Q(2),), 1)
+    assert calls["_compile"] == 1 and calls["decide"] > len(neg.cells) + len(pos.cells)
 
 
 def coarsened(s, consts, variables):

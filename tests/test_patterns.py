@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,12 +11,12 @@ from opdim import (
     And, BudgetExceededError, DloContext, FiniteContext, ICTPattern,
     IRDPattern, Imp, Not, PatternError, RankQuery, alternation, check_ict,
     check_ird, dp_rank_lower, evaluate, ird_from_alternation, ird_to_ict,
-    parse_partitioned, search_ict, search_ird, shelah_rank2,
+    parse_formula, parse_partitioned, search_ict, search_ird, shelah_rank2,
 )
-from opdim.logic import parity_combine
+from opdim.logic import DefinableSubset, parity_combine
 from opdim import patterns
 
-from conftest import chain, equality_structure
+from conftest import R_SIG, chain, equality_structure, random_r_structure
 
 Q = Fraction
 
@@ -224,6 +226,86 @@ def test_search_budget_sweep_pinned():
     digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
     assert (len(entries), digest) == (
         586, "b8cce2f16967901fe382d7a122b25cf0edb9b4d2a15dd9ad91e5ba2f4975eb58")
+
+
+def sat_walk(context, s, rows, length, allowed=None):
+    """The reference for `patterns._walk`: every selector, in lexicographic
+    order, checked from the base by one `Context.sat` query."""
+    checks = 0
+    for f in itertools.product(range(length), repeat=len(rows)):
+        checks += 1
+        if allowed is not None and checks > allowed:
+            return checks, None
+        if context.sat(s, [c for row, v in zip(rows, f) for c in row[v]]) is None:
+            return checks, f
+    return checks, None
+
+
+def _walk_cases(rng):
+    """(context, base, pool, witness values) on 1-4-element R-structures,
+    on Q^1 and on Q^2."""
+    for size in (1, 2, 3, 4):
+        m = random_r_structure(rng, size)
+        ctx = FiniteContext(m)
+        pool = [parse_partitioned(text, R_SIG) for text in (
+            "x ; y : R(x, y)", "x ; y : R(y, x)", "x ; y : x = y",
+            "x ; y : R(x, y) & ~(x = y)")]
+        chosen = [(e,) for e in m.universe if rng.random() < 0.7] or [m.universe[:1]]
+        yield ctx, ctx.to_set(DefinableSubset(m, 1, chosen)), pool, m.universe
+    q1, q2 = DloContext(1), DloContext(2)
+    values = [Q(k, 2) for k in range(-1, 4)]
+    yield q1, q1.top(), [X_LT_W, parse_partitioned("x0 ; w : x0 = w"), INTERVAL,
+                         parse_partitioned("x0 ; w : w < x0 | x0 = 1")], values
+    yield q1, q1.to_set(parse_formula("0 < x0")), [X_LT_W, INTERVAL], values
+    yield q2, q2.top(), [X0_LT_W, X1_LT_W,
+                         parse_partitioned("x0 x1 ; w : x0 < x1 & x1 < w")], values
+
+
+def test_walk_answers_as_one_sat_query_per_selector(monkeypatch):
+    # the prefix walk against sat from the base on every selector: the same
+    # (ok, failing selector) for random patterns, and the same status,
+    # pattern and count at every budget up to exhaustion for searches; the
+    # walk never picks a point
+    picks = []
+    for cls in (FiniteContext, DloContext):
+        monkeypatch.setattr(cls, "pick", lambda self, s, real=cls.pick:
+                            picks.append(s) or real(self, s))
+
+    def both(run):
+        """run's answer by the walk, which must pick nothing, and by the reference."""
+        picked = len(picks)
+        got = run()
+        assert len(picks) == picked
+        with monkeypatch.context() as m:
+            m.setattr(patterns, "_walk", sat_walk)
+            return got, run()
+
+    rng = random.Random(19)
+    checked = failed = 0
+    for ctx, base, pool, values in _walk_cases(rng):
+        for _ in range(40):
+            depth, length = rng.randint(1, 3), rng.randint(1, 3)
+            formulas = [rng.choice(pool) for _ in range(depth)]
+            witnesses = [tuple(tuple(rng.choice(values) for _ in psi.param_vars)
+                               for _ in range(length)) for psi in formulas]
+            for cls, check in ((IRDPattern, check_ird), (ICTPattern, check_ict)):
+                pattern = cls(ctx, base, formulas, witnesses)
+                got, want = both(lambda: check(pattern))
+                assert got == want, (pattern, got, want)
+                checked += 1
+                failed += not got[0]
+        grid = None if isinstance(ctx, FiniteContext) else [(v,) for v in values[:3]]
+        narrow = [psi for psi in pool if len(psi.param_vars) == 1][:2]
+        for search, depth in itertools.product((search_ird, search_ict), (1, 2)):
+            full = search(ctx, base, narrow, depth, length=2, witness_grid=grid)
+            for budget in range(full.checks_used + 2):
+                def run():
+                    r = search(ctx, base, narrow, depth, length=2,
+                               witness_grid=grid, budget=budget)
+                    return r.status, r.pattern, r.checks_used
+                got, want = both(run)
+                assert got == want, (search.__name__, depth, budget, got, want)
+    assert picks and checked == 560 and 0 < failed < checked
 
 
 @pytest.mark.parametrize("search", [search_ird, search_ict])
