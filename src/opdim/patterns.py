@@ -237,7 +237,8 @@ def _search(context, base, pool, depth, length, witness_grid, budget,
         """The first valid extension of `chosen` to `depth` rows from `start`
         on, or None when there is none."""
         if len(chosen) == depth:
-            return chosen if joint_ok([signed[i] for i in chosen]) else None
+            # a depth-2 leaf is a pair that pair_ok has just passed
+            return chosen if depth == 2 or joint_ok([signed[i] for i in chosen]) else None
         for k in range(start, len(rows)):
             if all(pair_ok(j, k) for j in chosen):
                 deeper = extend(k + 1, chosen + [k])
