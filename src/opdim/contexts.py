@@ -33,10 +33,9 @@ class Context:
     """The query both backends build from their own restrict, is_empty and pick."""
 
     def sat(self, s, constraints):
-        """The picked member of s satisfying every signed constraint, or None.
-        No engine calls it: the pattern checks walk their selectors with
-        restrict and is_empty alone (`patterns._walk`).  It stays as the
-        one-query form of that test, for callers and tests."""
+        """The picked member of s satisfying every signed constraint, or None:
+        the one-query form of the test that the pattern checks make with
+        restrict and is_empty alone (`patterns._walk`); no engine calls it."""
         for c in constraints:
             if self.is_empty(s):
                 return None

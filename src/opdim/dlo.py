@@ -147,8 +147,7 @@ def _compile(f):
             return answers[key]
         return quantified
     if isinstance(f, (Top, Bot)):
-        value = isinstance(f, Top)
-        return lambda env: value
+        return (lambda env: True) if isinstance(f, Top) else (lambda env: False)
     raise DloError(f"cannot evaluate {f!r} over the rationals")
 
 

@@ -68,8 +68,7 @@ class ICTPattern(IRDPattern):
 
 
 def _selector_bound(depth, length, bound):
-    """Raises BudgetExceededError when depth rows of length witnesses have
-    more than `bound` selectors."""
+    """BudgetExceededError when depth rows of length witnesses exceed `bound` selectors."""
     if depth and length ** depth > bound:
         raise BudgetExceededError(
             f"{length ** depth} selectors exceed the bound {bound}")
