@@ -956,6 +956,29 @@ def test_restrict_refines_and_evaluates_once_per_instance(monkeypatch):
     assert calls["_compile"] == 1 and calls["decide"] > len(neg.cells) + len(pos.cells)
 
 
+def test_restrict_places_parameter_values_among_the_constants(monkeypatch):
+    # an instance is phi's decision with the values of the parameters free in
+    # phi placed among its constants, one position per value; no instance
+    # formula is built, and only phi's own constants are fixed for the keys
+    def unreachable(*args):
+        raise AssertionError("restrict built an instance formula")
+    monkeypatch.setattr(PartitionedFormula, "instantiate", unreachable)
+    ctx = DloContext(1)
+    top = ctx.top()
+    between = parse_partitioned("x0 ; w0 w1 : w0 < x0 & x0 < w1")
+    assert ctx.is_empty(ctx.restrict(top, between, (Q(1, 2), Q(1, 2)), 1))
+    assert ctx.restrict(top, between, (Q(1, 2), Q(1, 2)), 0).factors[0].consts == (Q(1, 2),)
+    below_or_one = parse_partitioned("x0 ; w : x0 < w | x0 = 1")
+    neg = ctx.restrict(top, below_or_one, (Q(1),), 0)
+    assert neg.factors[0].consts == (Q(1),) and neg.factors[0].cells == ((3,),)  # x0 > 1
+    unused = parse_partitioned("x0 ; w v : x0 < w")
+    assert ctx.restrict(top, unused, (Q(0), Q(5)), 1).factors[0].consts == (Q(0),)
+    assert ctx._fixed == (Q(1),)
+    for params in ((Q(0),), (Q(0), Q(1), Q(2))):
+        with pytest.raises(opdim.logic.LogicError, match="wrong length"):
+            ctx.restrict(top, unused, params, 1)
+
+
 def coarsened(s, consts, variables):
     """The integer cells over `consts`, a subset of s.consts, of the diagrams
     of the factor s over every variable with the other constants forgotten."""
