@@ -503,10 +503,20 @@ def _split(cell, r, stride):
     above the gap, move up one gap."""
     lo = r * stride
     hi = lo + stride
-    b = max((q - lo for q in cell if lo < q < hi), default=0)
-    # positions from u on move; t blocks of gap r stay below the constant
-    return [tuple(q if q < u else q + stride - t if q < hi else q + stride for q in cell)
-            for u, t in ((lo + 1 + i // 2, (i + 1) // 2) for i in range(2 * b + 1))]
+    b = lo
+    for q in cell:
+        if b < q < hi:
+            b = q
+    b -= lo
+    if not b:  # no block in the gap: the one refined cell moves what lies above it
+        return [tuple([q if q < hi else q + stride for q in cell])]
+    out = []
+    for i in range(2 * b + 1):
+        # positions from u on move; t blocks of gap r stay below the constant
+        u, t = lo + 1 + i // 2, (i + 1) // 2
+        out.append(tuple([q if q < u else q + stride - t if q < hi else q + stride
+                          for q in cell]))
+    return out
 
 
 def _refine(consts, cells, stride, new):
@@ -603,8 +613,10 @@ class DloContext(Context):
     into order diagrams, to list them.  A context keeps what it computes
     for the life of the object: each phi's decision, candidate grids per
     (phi, extra constants), and the partition memo, which holds for each
-    (set, phi, params) that restrict has seen the set's two sign sets.
-    Make a new context to drop them.
+    (set, phi, params) that restrict has seen the set's two sign sets; a
+    sign pair is answered from the last partition, found by identity of the
+    set, phi and params, with no key hashed.  Make a new context to drop
+    them.
     `cache_key` and `instance_candidates` read a set through the normal
     form of its joined form, so neither the factoring nor a constant the
     set does not depend on splits its key or adds points to its grid;
@@ -618,6 +630,7 @@ class DloContext(Context):
         self._grids = {}   # (phi, extra constants) -> the candidate parameter tuples
         self._fixed = ()   # the sorted constants of every formula asked about
         self._splits = {}  # (set, phi, params) -> the set's two sign sets, see restrict
+        self._last = (None, None, None, None)  # restrict's last key and its two sign sets
         self._top = DloSet(tuple(Factor((i,), (), ((1,),)) for i in range(num_vars))
                            or (_UNIT,))
         self._empty = DloSet((Factor(tuple(range(num_vars)), (), ()),))
@@ -659,7 +672,8 @@ class DloContext(Context):
     def _instance(self, phi: PartitionedFormula, params):
         """phi's instance at params as `_partition` reads it: phi's body as
         `_decision` gives it, kept per phi, with the values of the parameters
-        that occur in it placed, under their names, among its constants."""
+        that occur in it placed, under their names, among its constants by
+        bisection."""
         if len(phi.obj_vars) != self.arity:
             raise DloError("formula object sort does not match the context")
         kept = self._decisions.get(phi)
@@ -673,17 +687,27 @@ class DloContext(Context):
             raise LogicError("parameter tuple has wrong length")
         (decide, names, consts, mentions), free = kept
         if free:
-            places = sorted([*zip(consts, names),
-                             *((Fraction(params[j]), phi.param_vars[j]) for j in free)])
-            consts, names = tuple(v for v, _ in places), tuple(n for _, n in places)
+            consts, names = list(consts), list(names)
+            for j in free:
+                v = params[j]
+                if not isinstance(v, Fraction):
+                    v = Fraction(v)
+                at = bisect_left(consts, v)
+                consts.insert(at, v)
+                names.insert(at, phi.param_vars[j])
         return decide, names, consts, mentions
 
     def restrict(self, s, phi, params, sign):
-        key = (s, phi, tuple(params))
+        last = self._last
+        # the other sign of the last call's partition: the same objects, so no key to hash
+        if last[2] is params and last[0] is s and last[1] is phi:
+            return last[3][1 if sign else 0]
+        key = (s, phi, tuple(params))  # a list's tuple is new, so it never matches above
         halves = self._splits.get(key)
         if halves is None:
             halves = self._splits[key] = self._partition(s, phi.obj_vars,
                                                          *self._instance(phi, key[2]))
+        self._last = key + (halves,)
         return halves[1 if sign else 0]
 
     def _partition(self, s, variables, decide, names, values, mentions):
