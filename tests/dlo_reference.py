@@ -9,6 +9,8 @@ the tests.
 - Dimension is read off the diagrams twice: by their free blocks, and by the
   coordinate projections that hold an open cell.
 - A satisfiability solver works by disjunctive normal form and order graphs.
+- `_split`, the integer-cell kernel that refines a cell by a new constant,
+  is kept in its first, plainly written form.
 
 It imports nothing from `opdim.dlo` but `constants_of` and `DloError`
 (`tests/test_dlo.py::test_reference_imports_nothing_it_checks` holds that),
@@ -188,6 +190,23 @@ def dimension(f, m):
             if any(d.project(names).free_block_count() == k for d in diagrams):
                 return by_blocks, coords
     return by_blocks, ()
+
+
+# ---------------------------------------------------------------------------
+# Cell kernels, kept as they were before `opdim.dlo` rewrote them for speed
+
+
+def _split(cell, r, stride):
+    """The cells refining `cell` by a new constant of rank r, in the order: a
+    new block after 0 of the b blocks of gap r, joining block 1, a new block
+    after 1, ..., after b.  The gap's blocks above it, and every position
+    above the gap, move up one gap."""
+    lo = r * stride
+    hi = lo + stride
+    b = max((q - lo for q in cell if lo < q < hi), default=0)
+    # positions from u on move; t blocks of gap r stay below the constant
+    return [tuple(q if q < u else q + stride - t if q < hi else q + stride for q in cell)
+            for u, t in ((lo + 1 + i // 2, (i + 1) // 2) for i in range(2 * b + 1))]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from opdim.logic import (
     Const, Elem, PartitionedFormula, conj_all, evaluate, free_vars, rename_vars, signed,
 )
 from opdim.patterns import check_ird
-from opdim.contexts import Constraint, FiniteContext
+from opdim.contexts import Constraint, FinSet, FiniteContext
 
 import dlo_reference as ref
 from conftest import chain, random_r_structure
@@ -907,6 +907,56 @@ def test_to_set_folds_the_conjuncts_into_linked_factors():
             (case, f)
 
 
+def random_cell(rng, k, m, gap=None):
+    """A canonical integer cell (see Factor) of k variables over m constants:
+    each variable on a constant or in a gap, the blocks of each gap numbered
+    from 1; with `gap`, at least one variable lies in that gap."""
+    stride = k + 1
+    raw = [rng.choice((rng.randrange(1, m + 1) * stride,
+                       rng.randrange(m + 1) * stride + rng.randint(1, k)))
+           if m else rng.randint(1, k) for _ in range(k)]
+    if gap is not None:
+        raw[rng.randrange(k)] = gap * stride + rng.randint(1, k)
+    rank = {q: i for g in range(m + 1)
+            for i, q in enumerate(sorted({q for q in raw if q // stride == g and q % stride}),
+                                  start=g * stride + 1)}
+    return tuple(rank.get(q, q) for q in raw)
+
+
+def refine_by_reference(consts, cells, stride, new):
+    """`dlo._refine` as a fold of the reference `_split` over the new
+    constants, each rank read off the list once it is inserted."""
+    consts, at = list(consts), []
+    for c in new:
+        if c not in consts:
+            consts = sorted(consts + [c])
+            cells = [e for cell in cells for e in ref._split(cell, consts.index(c), stride)]
+        at.append((consts.index(c) + 1) * stride)
+    return tuple(consts), cells, at
+
+
+def test_split_and_refine_agree_with_the_reference_kernel():
+    rng = random.Random(20)
+    with_block = without = 0
+    for k in (1, 2, 3):
+        for m in range(6):
+            for r in range(m + 1):
+                for i in range(320):
+                    cell = random_cell(rng, k, m, gap=r if i % 2 else None)
+                    blocked = any(r * (k + 1) < q < (r + 1) * (k + 1) for q in cell)
+                    with_block, without = with_block + blocked, without + (not blocked)
+                    assert dlo._split(cell, r, k + 1) == ref._split(cell, r, k + 1), (cell, r)
+    assert with_block + without >= 20000 and min(with_block, without) >= 5000
+    for case in range(1500):
+        k, m = rng.randint(1, 3), rng.randint(0, 5)
+        consts = sorted(rng.sample([Q(v, 2) for v in range(-8, 9)], m))
+        cells = list(dict.fromkeys(random_cell(rng, k, m) for _ in range(rng.randint(1, 6))))
+        pool = consts + [Q(v, 2) for v in range(-9, 10, 2)]  # present ones and new ones
+        new = sorted(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+        got = dlo._refine(tuple(consts), cells, k + 1, new)
+        assert got == refine_by_reference(consts, cells, k + 1, new), (consts, cells, new)
+
+
 def test_restrict_splits_only_the_factor_it_mentions(monkeypatch):
     ctx = DloContext(3)
     s = ctx.to_set(parse_formula("x0 < 1 & 0 < x1"))
@@ -977,6 +1027,57 @@ def test_restrict_places_parameter_values_among_the_constants(monkeypatch):
     for params in ((Q(0),), (Q(0), Q(1), Q(2))):
         with pytest.raises(opdim.logic.LogicError, match="wrong length"):
             ctx.restrict(top, unused, params, 1)
+
+
+@pytest.mark.parametrize("params", [
+    (Q(1), Q(2)), (Q(2), Q(2)), (Q(5, 2), Q(1, 2)), (2, Q(1, 2)),
+], ids=("equal to a constant", "two equal", "decreasing", "an int"))
+def test_restrict_places_parameters_by_bisection_as_sorted(params):
+    # the parameter values are inserted one at a time among phi's constants;
+    # the refined cells are those of the sorted (value, name) form
+    ctx = DloContext(2)
+    s = ctx.to_set(parse_formula("x0 < x1 | x1 = 3"))
+    phi = parse_partitioned("x0 x1 ; w v : w < x0 & x1 < v | x0 = 1 | x1 = 3")
+    halves = [ctx.restrict(s, phi, params, sign) for sign in (0, 1)]
+    (decide, names, consts, mentions), free = ctx._decisions[phi]
+    places = sorted([*zip(consts, names), *((Q(params[j]), phi.param_vars[j]) for j in free)])
+    want = ctx._partition(s, phi.obj_vars, decide, tuple(n for _, n in places),
+                          tuple(v for v, _ in places), mentions)
+    form = lambda t: [(f.group, f.consts, f.cells) for f in t.factors]
+    assert list(map(form, halves)) == list(map(form, want))
+    assert all(type(c) is Fraction for half in halves for f in half.factors for c in f.consts)
+
+
+def test_restrict_answers_a_sign_pair_from_the_last_partition(monkeypatch):
+    ctx = DloContext(2)
+    formula = parse_formula("x0 < x1 | x1 = 1")
+    s = ctx.to_set(formula)
+    phi = parse_partitioned("x0 x1 ; w : x0 < w & w < x1")
+    calls = []
+    real = DloContext._partition
+    monkeypatch.setattr(DloContext, "_partition",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    params = (Q(1, 2),)
+    pos, neg = ctx.restrict(s, phi, params, 1), ctx.restrict(s, phi, params, 0)
+    assert len(calls) == 1
+    kept = ctx._splits[(s, phi, params)]
+    assert neg is kept[0] and pos is kept[1]
+    # a list is copied into the key, so a list changed in place is read afresh
+    values = [Q(1, 2)]
+    assert ctx.restrict(s, phi, values, 1) is pos
+    values[0] = Q(3)
+    got = ctx.restrict(s, phi, values, 0)
+    assert len(calls) == 2 and got is ctx._splits[(s, phi, (Q(3),))][0]
+    fresh = DloContext(2)
+    want = fresh.restrict(fresh.to_set(formula), phi, (Q(3),), 0)
+    assert [(f.group, f.consts, f.cells) for f in got.factors] == \
+        [(f.group, f.consts, f.cells) for f in want.factors]
+    # the memo holds what it held before sign pairs were answered from the
+    # last partition
+    ctx = DloContext(1)
+    assert op_rank(RankQuery(ctx, ctx.top(), (parse_partitioned("x0 ; y : x0 < y"),),
+                             cap=8)).capped
+    assert len(ctx._splits) == 8
 
 
 def coarsened(s, consts, variables):
@@ -1066,6 +1167,62 @@ def test_ranks_on_a_shared_context_match_fresh_contexts():
         for n, beta in ((1, 2), (2, 1)) if len(phi.param_vars) == 1 else ((1, 2),):
             gamma = lambda ctx: gamma_consistent(ctx, ctx.top(), phi, n, beta)
             assert gamma(warm) == gamma(DloContext(1)), (text, n, beta)
+
+
+# The benchmark's gamma_consistent templates on Q, c0 a constant.
+GAMMA_TEMPLATES = (
+    "x0 ; y : x0 < y", "x0 ; y : x0 = y", "x0 ; y : y < x0 & x0 < c0",
+    "x0 ; y : x0 = y | x0 = c0", "x0 ; y : c0 < x0 & x0 < y", "x0 ; y z : y < x0 & x0 < z",
+)
+FINITE_GAMMA = ("x ; y : R(x, y)", "x ; y : R(y, x)", "x ; y : x = y",
+                "x ; y : R(x, y) | x = y", "x ; y z : R(y, x) & R(x, z)")
+
+
+def assert_leaves_hold(witness, phi, n, beta, base, holds):
+    """Every leaf point of the witness lies in `base` and satisfies each
+    signed instance on its branch: phi at the node's i-th parameter tuple
+    holds iff the i-th sign there is 1."""
+    assert len(witness.witnesses) == (1 << n) ** beta
+    for leaf, point in witness.witnesses.items():
+        assert len(leaf) == beta and base(point), (leaf, point)
+        for level, sigma in enumerate(leaf):
+            choice = witness.params[leaf[:level]]
+            for params, sign in zip(choice, sigma, strict=True):
+                env = {**dict(zip(phi.obj_vars, point)), **dict(zip(phi.param_vars, params))}
+                assert holds(phi.body, env) == (sign == 1), (leaf, level, params, point)
+
+
+def test_gamma_witness_leaves_satisfy_their_branches():
+    # read independently: the grid evaluator on Q, logic.evaluate on finite
+    # R-structures (a random base set there)
+    rng = random.Random(15)
+    witnessed = [0, 0]
+    for case in range(40):
+        c0 = Q(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+        phi = parse_partitioned(rng.choice(GAMMA_TEMPLATES).replace("c0", str(c0)))
+        n, beta = rng.choice(((1, 0), (1, 1), (1, 2), (2, 1), (2, 2)))
+        ctx = DloContext(1)
+        ok, witness = gamma_consistent(ctx, ctx.top(), phi, n, beta)
+        if ok:
+            witnessed[0] += 1
+            consts = constants_of(phi.body)
+            assert_leaves_hold(witness, phi, n, beta, lambda p: True,
+                               lambda f, env: grid_holds(f, env, consts))
+    for case in range(60):
+        structure = random_r_structure(rng, rng.randint(1, 4))
+        ctx = FiniteContext(structure)
+        phi = parse_partitioned(rng.choice(FINITE_GAMMA), structure.signature)
+        # (2, 2) asks for 16 leaves in distinct points, more than 4 elements hold
+        n, beta = rng.choice(((1, 1), (1, 1), (1, 2), (2, 1)))
+        tuples = ctx.space(1)[0]
+        mask = rng.choice((rng.randrange(1, 1 << len(tuples)), (1 << len(tuples)) - 1))
+        ok, witness = gamma_consistent(ctx, FinSet(1, mask), phi, n, beta)
+        if ok:
+            witnessed[1] += 1
+            assert_leaves_hold(witness, phi, n, beta,
+                               lambda p: mask >> tuples.index(p) & 1,
+                               lambda f, env: evaluate(structure, f, env))
+    assert min(witnessed) >= 15  # both backends answer enough queries with a witness
 
 
 def test_context_holds():
