@@ -1072,8 +1072,7 @@ def test_restrict_answers_a_sign_pair_from_the_last_partition(monkeypatch):
     want = fresh.restrict(fresh.to_set(formula), phi, (Q(3),), 0)
     assert [(f.group, f.consts, f.cells) for f in got.factors] == \
         [(f.group, f.consts, f.cells) for f in want.factors]
-    # the memo holds what it held before sign pairs were answered from the
-    # last partition
+    # the last partition is kept beside the memo, not in it: one entry per split
     ctx = DloContext(1)
     assert op_rank(RankQuery(ctx, ctx.top(), (parse_partitioned("x0 ; y : x0 < y"),),
                              cap=8)).capped
