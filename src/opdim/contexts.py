@@ -3,7 +3,8 @@
 A context answers the queries the recursions need: restrict a definable set
 by a signed formula instance, test emptiness, enumerate instance parameters,
 and find witnesses for constraint lists.  ``FiniteContext`` wraps a finite
-structure (sets are bitmasks over an indexed tuple space); the symbolic
+structure (sets are bitmasks over an indexed tuple space, and the pattern
+checks intersect its cached `solution_masks`); the symbolic
 dense-order context lives in ``opdim.dlo`` and exposes the same surface.
 Both inherit ``sat`` from ``Context``.
 """
@@ -35,7 +36,8 @@ class Context:
     def sat(self, s, constraints):
         """The picked member of s satisfying every signed constraint, or None:
         the one-query form of the test that the pattern checks make with
-        restrict and is_empty alone (`patterns._walk`); no engine calls it."""
+        restrict and is_empty alone (`patterns._walk`), or on a finite set
+        with masks (`patterns._mask_walk`); no engine calls it."""
         for c in constraints:
             if self.is_empty(s):
                 return None
@@ -101,14 +103,24 @@ class FiniteContext(Context):
     def instance_candidates(self, phi: PartitionedFormula, s=None):
         return list(itertools.product(self.structure.universe, repeat=len(phi.param_vars)))
 
+    def solution_masks(self, phi: PartitionedFormula, params_seq):
+        """phi's solution mask at each parameter tuple, from the cache: what
+        the pattern checks intersect in place of restricting."""
+        return [self._solution_mask(phi, params) for params in params_seq]
+
     def traces(self, phi: PartitionedFormula, points, candidates):
-        """For each candidate b, in order and lazily, whether phi(p, b)
-        holds at each point p.  Only the points are evaluated: b's solution
-        mask would cost |universe|^arity evaluations however few they are."""
+        """For each candidate b, in order and lazily, the int whose bit i is
+        set when phi(points[i], b) holds.  Only the points are evaluated:
+        b's solution mask would cost |universe|^arity evaluations however
+        few they are."""
         envs = [dict(zip(phi.obj_vars, p, strict=True)) for p in points]
         for b in candidates:
             inst = phi.instantiate(tuple(b))
-            yield [evaluate(self.structure, inst, env) for env in envs]
+            trace = 0
+            for i, env in enumerate(envs):
+                if evaluate(self.structure, inst, env):
+                    trace |= 1 << i
+            yield trace
 
     def pick(self, s):
         """A canonical member of a nonempty set."""

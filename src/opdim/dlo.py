@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -791,22 +792,66 @@ class DloContext(Context):
         return self._grids[key]
 
     def traces(self, phi: PartitionedFormula, points, candidates):
-        """For each candidate b, in order and lazily, whether phi(p, b)
-        holds at each point p.  phi's constants, the points' coordinates
-        and the values of the candidates (a sequence: it is read twice) are
-        ranked once, and phi's decision (see `_compile`) is run on the
-        ranks, as restrict runs it on cell positions."""
+        """For each candidate b, in order and lazily, the int whose bit i is
+        set when phi(points[i], b) holds.  Values are ints or Fractions.
+        Each of phi's constants, the points' coordinates and the candidates'
+        values (a sequence: it is read twice) is scaled once by the common
+        denominator of all of them, an exact integer in the same order, and
+        phi's decision (see `_compile`) is run on these integers.  With one
+        object variable the breakpoints of b are phi's constants and b's
+        values, and by homogeneity phi(x, b) is constant on each run of
+        points strictly between two consecutive breakpoints: the decision
+        runs once per run and once per breakpoint a point sits on, so a
+        candidate costs O(|constants| + k) decisions however many points
+        there are.  Points of more coordinates are decided one by one."""
         consts = constants_of(phi.body)
-        rank = {v: i for i, v in enumerate(sorted(consts.union(*points, *candidates)))}
-        decide, env = _compile(phi.body), {_cname(c): rank[c] for c in consts}
-        points = [tuple(zip(phi.obj_vars, (rank[v] for v in p), strict=True)) for p in points]
+        scale = math.lcm(*(v.denominator for v in itertools.chain(consts, *points, *candidates)))
+
+        def image(v):
+            return v.numerator * (scale // v.denominator)
+        decide, env = _compile(phi.body), {_cname(c): image(c) for c in consts}
+        if len(phi.obj_vars) != 1:
+            points = [tuple(zip(phi.obj_vars, map(image, p), strict=True)) for p in points]
+            for b in candidates:
+                env.update(zip(phi.param_vars, map(image, b), strict=True))
+                trace = 0
+                for i, p in enumerate(points):
+                    env.update(p)
+                    if decide(env):
+                        trace |= 1 << i
+                yield trace
+            return
+        x, = phi.obj_vars
+        bits = {}  # a point's image -> the bits of the points there
+        for i, (v,) in enumerate(points):
+            v = image(v)
+            bits[v] = bits.get(v, 0) | 1 << i
+        at = sorted(bits)  # the points' distinct images, increasing
+        below = [0]  # below[j]: the bits of the points below at[j]
+        for v in at:
+            below.append(below[-1] | bits[v])
+        fixed = set(env.values())  # the images of phi's constants
         for b in candidates:
-            env.update(zip(phi.param_vars, (rank[v] for v in b), strict=True))
-            row = []
-            for p in points:
-                env.update(p)
-                row.append(decide(env))
-            yield row
+            values = list(map(image, b))
+            env.update(zip(phi.param_vars, values, strict=True))
+            trace = lo = 0  # lo: the first point above the last breakpoint
+            for r in sorted(fixed.union(values)):
+                j = bisect_left(at, r, lo)
+                if j > lo:  # the run below r
+                    env[x] = at[lo]
+                    if decide(env):
+                        trace |= below[j] ^ below[lo]
+                if j < len(at) and at[j] == r:  # the points on r
+                    env[x] = r
+                    if decide(env):
+                        trace |= bits[r]
+                    j += 1
+                lo = j
+            if lo < len(at):  # the run above the last breakpoint
+                env[x] = at[lo]
+                if decide(env):
+                    trace |= below[-1] ^ below[lo]
+            yield trace
 
 
 # ---------------------------------------------------------------------------

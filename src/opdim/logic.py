@@ -559,11 +559,6 @@ class DefinableSubset(Record):
             if len(t) != self.arity or not set(t) <= uni:
                 raise LogicError(f"tuple {t} invalid for this subset")
 
-    @classmethod
-    def full(cls, structure, arity=1):
-        tuples = frozenset(itertools.product(structure.universe, repeat=arity))
-        return cls(structure, arity, tuples)
-
 
 # ---------------------------------------------------------------------------
 # Independence dimension (shattering)

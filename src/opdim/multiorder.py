@@ -365,10 +365,15 @@ def check_mop_witness(w: PictureWitness, budget=None) -> MopReport:
     """For every multi-cut of the source, search parameters b_0..b_{n-1}
     with X_i = {a : phi(g(a), b_i)}.  The per-order searches are independent,
     so a multi-cut is definable iff each of its n sides is a trace, and the
-    report keeps, per order, the cut positions that are.  The cost is
-    candidates·|B| evaluations of phi (the context's `traces`; on Q they
-    compare integers) and n·(|B|+1) trace lookups; the report has O(n·|B|)
-    entries, however many of the (|B|+1)^n multi-cuts are missing.
+    report keeps, per order, the cut positions that are.  A trace is an int
+    over the universe's positions (the context's `traces`), so the traces
+    form a set of ints and each order's prefixes are built bit by bit: the
+    cost is one trace per candidate and n·(|B|+1) int lookups.  On Q, with
+    one coordinate per point, a trace costs O(|constants| + k) decisions of
+    phi, one per run of points between consecutive breakpoints; points of
+    more coordinates, and finite hosts, cost |B| decisions.  The budget
+    charges |B| per candidate, and the report has O(n·|B|) entries, however
+    many of the (|B|+1)^n multi-cuts are missing.
     """
     if budget is not None and budget < 0:
         raise MultiOrderError("the budget must be nonnegative")
@@ -386,10 +391,18 @@ def check_mop_witness(w: PictureWitness, budget=None) -> MopReport:
         if budget is not None and used + B.size > budget:
             status = "budget"
             break
-        traces.add(frozenset(itertools.compress(B.universe, next(rows))))
+        traces.add(next(rows))
         used += B.size
-    cuts = tuple(tuple(c for c in range(B.size + 1) if frozenset(order[:c]) in traces)
-                 for order in B.orders)
+    bit = {a: 1 << i for i, a in enumerate(B.universe)}
+    cuts = []
+    for order in B.orders:  # the cut positions c whose first c elements form a trace
+        prefix, found = 0, [0] if 0 in traces else []
+        for c, a in enumerate(order, 1):
+            prefix |= bit[a]
+            if prefix in traces:
+                found.append(c)
+        cuts.append(tuple(found))
+    cuts = tuple(cuts)
     return MopReport((B.size + 1) ** B.n, math.prod(map(len, cuts)), cuts, status)
 
 

@@ -120,13 +120,65 @@ def _walk(context, s, rows, length, allowed=None):
         f[row] += 1
 
 
+def _sign_table(row_constraints, length):
+    """table[v][j]: the sign `row_constraints` gives witness j at selector value v."""
+    return [[c.sign for c in row_constraints(None, range(length), v)] for v in range(length)]
+
+
+def _value_sets(top, masks, signs):
+    """A row's set at each selector value, as a mask: `top` and, for each
+    witness, its solution mask where its sign is 1 or its complement where 0."""
+    out = []
+    for row in signs:
+        t = top
+        for m, sign in zip(masks, row):
+            t &= m if sign else ~m
+        out.append(t)
+    return out
+
+
+def _mask_walk(top, rows, length, allowed=None):
+    """`_walk` for a finite set held as the mask `top`, with rows[i][v] row
+    i's value-set at selector value v (see `_value_sets`): a row prefix's set
+    is an AND of ints.  The same selector order, checks and answer as `_walk`
+    on the context's restricts, which stays the walk for the (Q,<) sets."""
+    depth = len(rows)
+    sets, f = [top] * (depth + 1), [0] * depth
+    row, checks = 0, 0  # row: the first row whose value changed
+    while True:
+        checks += 1
+        if allowed is not None and checks > allowed:
+            return checks, None
+        t = sets[row]
+        for i in range(row, depth):
+            t &= rows[i][f[i]]
+            sets[i + 1] = t
+        if not t:
+            return checks, tuple(f)
+        row = depth - 1
+        while row >= 0 and f[row] == length - 1:
+            f[row] = 0
+            row -= 1
+        if row < 0:
+            return checks, None
+        f[row] += 1
+
+
 def _check(pattern, row_constraints, selector_bound):
     # the bound first: the rows' signed lists grow as depth * length^2
     _selector_bound(pattern.depth, pattern.length, selector_bound)
-    s = pattern.context.to_set(pattern.base)
-    rows = [_signed_rows(row_constraints, psi, row, pattern.length)
-            for psi, row in zip(pattern.formulas, pattern.witnesses)]
-    failing = _walk(pattern.context, s, rows, pattern.length)[1]
+    context = pattern.context
+    s = context.to_set(pattern.base)
+    solution_masks = getattr(context, "solution_masks", None)  # finite contexts only
+    if solution_masks is None:
+        rows = [_signed_rows(row_constraints, psi, row, pattern.length)
+                for psi, row in zip(pattern.formulas, pattern.witnesses)]
+        failing = _walk(context, s, rows, pattern.length)[1]
+    else:
+        signs = _sign_table(row_constraints, pattern.length)
+        rows = [_value_sets(s.mask, solution_masks(psi, row), signs)
+                for psi, row in zip(pattern.formulas, pattern.witnesses)]
+        failing = _mask_walk(s.mask, rows, pattern.length)[1]
     return failing is None, failing
 
 
@@ -208,20 +260,29 @@ def _search(context, base, pool, depth, length, witness_grid, budget,
     if budget is not None and budget < 0:
         raise PatternError("the budget must be nonnegative")
     used = 0
+    # a finite context's rows are value-sets (see `_mask_walk`), a (Q,<) one's signed lists
+    solution_masks = getattr(context, "solution_masks", None)
+    if solution_masks is not None:
+        signs = _sign_table(row_constraints, length)
 
     def joint_ok(lists):
-        """Whether every selector over rows with these signed lists is
-        consistent; raises _BudgetSpent at the check past the budget."""
+        """Whether every selector over rows with these signed lists (or
+        value-sets) is consistent; raises _BudgetSpent at the check past the
+        budget."""
         nonlocal used
         _selector_bound(len(lists), length, SELECTOR_BOUND)
-        checks, failing = _walk(context, s, lists, length,
-                                None if budget is None else budget - used)
+        allowed = None if budget is None else budget - used
+        if solution_masks is None:
+            checks, failing = _walk(context, s, lists, length, allowed)
+        else:
+            checks, failing = _mask_walk(s.mask, lists, length, allowed)
         used += checks
         if budget is not None and used > budget:
             raise _BudgetSpent
         return failing is None
 
-    # rows[i] = (psi, witnesses); signed[i][v] = its constraints at selector value v
+    # rows[i] = (psi, witnesses); signed[i][v] = its constraints (or value-set)
+    # at selector value v
     rows, signed = [], []
     # any two rows of a valid pattern form a valid pattern, so rows failing
     # the pairwise check can be pruned before the joint leaf check
@@ -255,11 +316,21 @@ def _search(context, base, pool, depth, length, witness_grid, budget,
             if length == 0:
                 # with no witnesses every selector would be vacuously consistent
                 raise PatternError("a pattern with formulas needs witnesses")
-            for seq in itertools.product(space, repeat=length):
-                lists = _signed_rows(row_constraints, psi, seq, length)
-                if joint_ok([lists]):
+            seqs = itertools.product(space, repeat=length)
+            if solution_masks is None:
+                for seq in seqs:
+                    lists = _signed_rows(row_constraints, psi, seq, length)
+                    if joint_ok([lists]):
+                        rows.append((psi, seq))
+                        signed.append(lists)
+                continue
+            # the masks of each sequence, in the same product order
+            masks = itertools.product(solution_masks(psi, space), repeat=length)
+            for seq, seq_masks in zip(seqs, masks):
+                values = _value_sets(s.mask, seq_masks, signs)
+                if joint_ok([values]):
                     rows.append((psi, seq))
-                    signed.append(lists)
+                    signed.append(values)
         if depth == 1:
             # every collected row is already a checked pattern of depth 1
             return [0] if rows else None
@@ -341,7 +412,7 @@ def ird_from_alternation(context, base, realization, phi: PartitionedFormula,
     sign-adjusted so it holds on the later run, witnesses taken from the
     two adjacent run interiors.  Returns None when fewer than two runs."""
     params_seq = [tuple(p) for p in params_seq]
-    values = [v for v, in context.traces(phi, [tuple(realization)], params_seq)]
+    values = list(context.traces(phi, [tuple(realization)], params_seq))  # bit 0: the realization
     part = alternation(values)
     m = part.block_count
     if m < 2:
