@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from opdim import cli, parse_partitioned, print_formula, structure_to_dict
 from opdim.cli import main, make_report
-from opdim.multiorder import dump_multiorder, generate_generic, load_multiorder
+from opdim.multiorder import MultiOrder, dump_multiorder, generate_generic, load_multiorder
 
 import dlo_reference as ref
 from conftest import chain
@@ -396,6 +397,47 @@ def test_report_pinned(capsys, files, argv, want):
     assert code == 0
     (key, value), = want.items()
     assert doc[key] == value
+
+
+# a seeded 6-chain and a seeded 40-element 3-order, the sizes of the
+# benchmark's dprank and moptest inputs: the finite pattern search and the
+# multi-order check decide them on bitmask traces, and these hashes were
+# recorded before either did
+TRACE_PINS = [
+    (("dprank", "chain6.json", "--pool", "x ; y : x = y", "--cap", "2", "--length", "2"),
+     "099a7058845ecd48cb21f362fc3addcbf9b6e72f9f02a732a796057c318453d9"),
+    (("mo", "moptest", "mo40.json"),
+     "e876461eb546881948b9ad5b6355788d2989398dc651688165acb63091de9ab4"),
+    # the budget stops the trace loop after 25 of its 81 candidates
+    (("mo", "moptest", "mo40.json", "--budget", "1000"),
+     "5701261ccd4b60e14e2a0830b93e899adc722c5cd172750e4ab5f6bd7f811210"),
+]
+
+
+@pytest.fixture
+def seeded_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the relative paths keep the configs and hashes fixed
+    rng = random.Random(6)
+    labels = sorted(rng.sample(range(1000), 6))
+    universe = rng.sample(labels, 6)
+    Path("chain6.json").write_text(json.dumps(
+        {"signature": {"relations": [{"name": "<", "arity": 2}], "constants": []},
+         "universe": universe, "constants": {},
+         "relations": {"<": [[a, b] for a in labels for b in labels if a < b]}}))
+    rng = random.Random(40)
+    names = [f"b{j}" for j in range(40)]
+    dump_multiorder(MultiOrder(3, names, [rng.sample(names, 40) for _ in range(3)]),
+                    "mo40.json")
+
+
+@pytest.mark.parametrize("argv, want", TRACE_PINS, ids=[" ".join(a) for a, _ in TRACE_PINS])
+def test_trace_reports_pinned_in_both_formats(capsys, seeded_files, argv, want):
+    for fmt in ("json", "text"):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        digest = json.loads(out)["hash"] if fmt == "json" else \
+            out.split("hash: ")[1].split()[0]
+        assert digest == want, fmt
 
 
 # ---------------------------------------------------------------------------

@@ -832,6 +832,39 @@ def random_quantified_formula(rng, variables, consts, depth=3):
     return random_qf_formula(rng, variables, consts, depth=1)
 
 
+def test_traces_by_runs_agree_with_each_point():
+    """DloContext.traces decides a one-variable phi once per run of points
+    between breakpoints (phi's constants and the candidate's values): its
+    ints against evaluate_q at each point, bit for bit, on random bodies
+    that quantify now and then, with 0-3 constants and 1-2 parameters,
+    points repeated and on constants and candidate values, ints among them,
+    and candidates from witness_params and drawn at random.  Points of two
+    coordinates take the per-point path.  (FiniteContext.traces is read
+    against phi.at, bit for bit, by test_context_traces_agree_with_evaluation.)"""
+    rng = random.Random(2525)
+    quantified = on_breakpoint = 0
+    for case in range(240):
+        ctx = DloContext(2 if case % 6 == 5 else 1)
+        params = ("w", "z")[:rng.randint(1, 2)]
+        consts = sorted(rng.sample([Q(v, 2) for v in range(-6, 7)], rng.randint(0, 3)))
+        body = random_quantified_formula(rng, ctx.obj_vars + params, consts)
+        quantified += quantifies(body)
+        phi = PartitionedFormula(body, ctx.obj_vars, params)
+        loose = [Q(rng.randint(-8, 8), rng.choice((1, 2, 4))) for _ in range(3)]
+        loose.append(rng.randint(-3, 3))  # an int value
+        grid = ctx.witness_params(phi, extra=loose[:rng.randint(0, 4)])
+        candidates = rng.sample(grid, min(len(grid), 5)) + \
+            [tuple(rng.choice(loose + consts) for _ in params) for _ in range(2)]
+        pool = loose + consts + [v for b in candidates for v in b]
+        points = [tuple(rng.choice(pool) for _ in ctx.obj_vars) for _ in range(rng.randint(0, 10))]
+        points += rng.sample(points, min(len(points), 2))  # repeated points
+        on_breakpoint += any(p[0] in consts or any(p[0] in b for b in candidates) for p in points)
+        want = [sum(1 << i for i, p in enumerate(points) if evaluate_q(phi.at(p, b)))
+                for b in candidates]
+        assert list(ctx.traces(phi, points, candidates)) == want, (case, body, points, candidates)
+    assert quantified >= 40 and on_breakpoint >= 150
+
+
 def test_quantified_bodies_are_decided_as_their_qe_form():
     # traces and to_set decide a quantified body on positions, with no
     # quantifier elimination: they must answer as on the reference's
@@ -1258,6 +1291,7 @@ def test_context_traces_agree_with_evaluation():
         phi = PartitionedFormula(body, obj_vars, params)
         candidates = [tuple(rng.choice(pool) for _ in params) for _ in range(rng.randint(0, 4))]
         points = [tuple(rng.choice(pool) for _ in obj_vars) for _ in range(rng.randint(0, 6))]
-        got = [[bool(v) for v in row] for row in ctx.traces(phi, points, candidates)]
-        want = [[reference(phi.at(p, b)) for p in points] for b in candidates]
+        got = list(ctx.traces(phi, points, candidates))
+        want = [sum(1 << i for i, p in enumerate(points) if reference(phi.at(p, b)))
+                for b in candidates]
         assert got == want, (case, body, points, candidates)

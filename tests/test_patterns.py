@@ -230,8 +230,9 @@ def test_search_budget_sweep_pinned():
 
 
 def sat_walk(context, s, rows, length, allowed=None):
-    """The reference for `patterns._walk`: every selector, in lexicographic
-    order, checked from the base by one `Context.sat` query."""
+    """The reference for `patterns._walk` and `patterns._mask_walk`: every
+    selector, in lexicographic order, checked from the base by one
+    `Context.sat` query."""
     checks = 0
     for f in itertools.product(range(length), repeat=len(rows)):
         checks += 1
@@ -263,22 +264,28 @@ def _walk_cases(rng):
 
 
 def test_walk_answers_as_one_sat_query_per_selector(monkeypatch):
-    # the prefix walk against sat from the base on every selector: the same
+    # the prefix walks against sat from the base on every selector: the same
     # (ok, failing selector) for random patterns, and the same status,
-    # pattern and count at every budget up to exhaustion for searches; the
-    # walk never picks a point
-    picks = []
+    # pattern and count at every budget up to exhaustion for searches.  The
+    # walks never pick a point, and a finite context's walk intersects value
+    # masks with no restrict; without `solution_masks` its reference run
+    # takes `_walk`, which is swapped for the per-selector sat queries
+    picks, finite_restricts = [], []
     for cls in (FiniteContext, DloContext):
         monkeypatch.setattr(cls, "pick", lambda self, s, real=cls.pick:
                             picks.append(s) or real(self, s))
+    monkeypatch.setattr(FiniteContext, "restrict", lambda self, *a, real=FiniteContext.restrict:
+                        finite_restricts.append(a) or real(self, *a))
 
     def both(run):
-        """run's answer by the walk, which must pick nothing, and by the reference."""
-        picked = len(picks)
+        """run's answer by the walks, which must pick nothing and restrict no
+        finite set, and by the reference."""
+        picked, restricted = len(picks), len(finite_restricts)
         got = run()
-        assert len(picks) == picked
+        assert (len(picks), len(finite_restricts)) == (picked, restricted)
         with monkeypatch.context() as m:
             m.setattr(patterns, "_walk", sat_walk)
+            m.delattr(FiniteContext, "solution_masks")
             return got, run()
 
     rng = random.Random(19)
@@ -306,7 +313,7 @@ def test_walk_answers_as_one_sat_query_per_selector(monkeypatch):
                     return r.status, r.pattern, r.checks_used
                 got, want = both(run)
                 assert got == want, (search.__name__, depth, budget, got, want)
-    assert picks and checked == 560 and 0 < failed < checked
+    assert picks and finite_restricts and checked == 560 and 0 < failed < checked
 
 
 @pytest.mark.parametrize("search", [search_ird, search_ict])
