@@ -101,7 +101,9 @@ class FiniteContext(Context):
         return (s.arity, s.mask)
 
     def instance_candidates(self, phi: PartitionedFormula, s=None):
-        return list(itertools.product(self.structure.universe, repeat=len(phi.param_vars)))
+        """Every universe tuple of phi's parameter count: the tuple that
+        `space` keeps per count."""
+        return self.space(len(phi.param_vars))[0]
 
     def solution_masks(self, phi: PartitionedFormula, params_seq):
         """phi's solution mask at each parameter tuple, from the cache: what

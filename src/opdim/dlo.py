@@ -362,10 +362,17 @@ def product(f, m0, g, m1):
 
 def standard_grid(consts):
     """The points of the one-variable cells over the constants (see
-    `_point`): the constants, midpoints between neighbours, and one point
-    beyond each extreme; [0] when there are no constants."""
-    consts = tuple(sorted(set(map(Fraction, consts))))
-    return [_point((q,), consts, 2)[0] for q in range(1, 2 * len(consts) + 2)]
+    `_point`): c_0 - 1, the constants with the midpoint between each two
+    neighbours, and c_last + 1; [0] when there are no constants."""
+    consts = sorted(set(map(Fraction, consts)))
+    if not consts:
+        return [Fraction(0)]
+    grid = [consts[0] - 1]
+    for lo, hi in zip(consts, consts[1:]):
+        a, b = lo.denominator, hi.denominator
+        grid += (lo, Fraction(lo.numerator * b + hi.numerator * a, 2 * a * b))
+    grid += (consts[-1], consts[-1] + 1)
+    return grid
 
 
 class Factor(Record):
@@ -378,7 +385,7 @@ class Factor(Record):
     c_i (above every constant for i = m) at i(k+1)+j.  The form is
     canonical, so equal cells are equal tuples."""
 
-    __slots__ = ("group", "consts", "cells", "_hash", "_normal", "_key")
+    __slots__ = ("group", "consts", "cells", "_hash", "_normal", "_key", "_grid_of", "_grid")
 
     def __init__(self, group, consts, cells):
         _set(self, "group", group)
@@ -621,7 +628,12 @@ class DloContext(Context):
     `cache_key` and `instance_candidates` read a set through the normal
     form of its joined form, so neither the factoring nor a constant the
     set does not depend on splits its key or adds points to its grid;
-    restrict, emptiness, sat and pick work on the factors as given."""
+    restrict, emptiness, sat and pick work on the factors as given.
+    A warm query hashes no rational: the normal form keeps the grid of the
+    last phi asked about it, the partition memo keys a candidate tuple the
+    context handed out (and keeps alive, one object per value) by its
+    identity and any other sequence by value, and `cache_key` codes each
+    fixed constant by its index in `_fixed`."""
 
     def __init__(self, num_vars=1, max_candidates=4096):
         self.obj_vars = tuple(f"x{i}" for i in range(num_vars))
@@ -629,8 +641,10 @@ class DloContext(Context):
         self.max_candidates = max_candidates
         self._decisions = {}  # phi -> what restrict reads of it, see _instance
         self._grids = {}   # (phi, extra constants) -> the candidate parameter tuples
+        self._interned = {}  # each candidate tuple of a grid, by value
+        self._owned = {}   # the same tuples by id, see restrict
         self._fixed = ()   # the sorted constants of every formula asked about
-        self._splits = {}  # (set, phi, params) -> the set's two sign sets, see restrict
+        self._splits = {}  # (set, phi, params or its id) -> the set's two sign sets
         self._last = (None, None, None, None)  # restrict's last key and its two sign sets
         self._top = DloSet(tuple(Factor((i,), (), ((1,),)) for i in range(num_vars))
                            or (_UNIT,))
@@ -703,12 +717,18 @@ class DloContext(Context):
         # the other sign of the last call's partition: the same objects, so no key to hash
         if last[2] is params and last[0] is s and last[1] is phi:
             return last[3][1 if sign else 0]
-        key = (s, phi, tuple(params))  # a list's tuple is new, so it never matches above
+        # a grid's tuple is keyed by its identity: it lives as long as the
+        # context, and hashing its rationals is the cost of a warm lookup
+        if self._owned.get(id(params)) is params:
+            key = (s, phi, id(params))
+        else:  # any other sequence by value; a list's tuple is new, so it never matches above
+            params = tuple(params)
+            key = (s, phi, params)
         halves = self._splits.get(key)
         if halves is None:
             halves = self._splits[key] = self._partition(s, phi.obj_vars,
-                                                         *self._instance(phi, key[2]))
-        self._last = key + (halves,)
+                                                         *self._instance(phi, params))
+        self._last = (s, phi, params, halves)
         return halves[1 if sign else 0]
 
     def _partition(self, s, variables, decide, names, values, mentions):
@@ -745,10 +765,14 @@ class DloContext(Context):
     def cache_key(self, s):
         """Equal for two sets when an order automorphism fixing the constants
         of every formula asked about carries one's normal form onto the
-        other's: the cells; the fixed constants of the set by value; where
-        each fixed constant falls among the set's.  Sound for the rank memo,
-        as a node's candidates are one point per gap of Delta's constants
-        and the normal form's, and the set is a union of cells over those.
+        other's: the cells; each constant of the set as its index in the
+        fixed constants, or None if it is not fixed; where each fixed
+        constant falls among the set's.  Sound for the rank memo, as a
+        node's candidates are one point per gap of Delta's constants and the
+        normal form's, and the set is a union of cells over those.  The
+        fixed constants only grow, and the last part has one entry per fixed
+        constant, so keys built for different fixed constants never compare
+        equal, and a lookup hashes only ints and the cells' cached frozenset.
         The key is cached on the normal form with the fixed constants it was
         computed for, as the rank engines ask again for the same sets."""
         fixed, s = self._fixed, s.joined().normal_form()
@@ -757,8 +781,13 @@ class DloContext(Context):
                 return s._key[1]
         except AttributeError:
             pass
-        key = (frozenset(s.cells), tuple(c if c in fixed else None for c in s.consts),
-               tuple(bisect_left(s.consts, c) for c in fixed))
+        consts = s.consts
+        where = tuple(bisect_left(consts, c) for c in fixed)
+        code = [None] * len(consts)
+        for i, (r, c) in enumerate(zip(where, fixed)):
+            if r < len(consts) and consts[r] == c:
+                code[r] = i
+        key = (frozenset(s.cells), tuple(code), where)
         _set(s, "_key", (fixed, key))
         return key
 
@@ -773,23 +802,44 @@ class DloContext(Context):
         return tuple(point)
 
     def instance_candidates(self, phi: PartitionedFormula, s=None):
-        return self.witness_params(phi, s.joined().normal_form().consts if s is not None else ())
+        """`witness_params` over the constants of s's normal form, kept on
+        the normal form for the last phi asked, so a warm node builds no
+        key of rationals.  A grid another context left on a set it shares
+        with this one is not this context's: its tuples are not owned here."""
+        if s is None:
+            return self.witness_params(phi)
+        s = s.joined().normal_form()
+        try:
+            first = s._grid[0]
+            if s._grid_of is phi and self._owned.get(id(first)) is first:
+                return s._grid
+        except AttributeError:
+            pass
+        grid = self.witness_params(phi, s.consts)
+        _set(s, "_grid_of", phi)
+        _set(s, "_grid", grid)
+        return grid
 
     def witness_params(self, phi: PartitionedFormula, extra=()):
         """Every parameter tuple for phi over the grid of its constants and
-        `extra`, as a tuple kept per (phi, set of extra constants)."""
+        `extra`, as a tuple kept per (phi, set of extra constants); restrict
+        keys each of its tuples by identity."""
         key = (phi, frozenset(extra))
-        if key not in self._grids:
+        grid = self._grids.get(key)
+        if grid is None:
             consts = constants_of(phi.body)
             self._fix(consts)
-            grid = standard_grid(consts | key[1])
+            points = standard_grid(consts | key[1])
             k = len(phi.param_vars)
-            if len(grid) ** k > self.max_candidates:
+            if len(points) ** k > self.max_candidates:
                 raise BudgetExceededError(
-                    f"symbolic parameter grid too large: {len(grid)} points ^ {k} parameters"
-                    f" = {len(grid) ** k} tuples exceeds max_candidates {self.max_candidates}")
-            self._grids[key] = tuple(itertools.product(grid, repeat=k))
-        return self._grids[key]
+                    f"symbolic parameter grid too large: {len(points)} points ^ {k} parameters"
+                    f" = {len(points) ** k} tuples exceeds max_candidates {self.max_candidates}")
+            # equal tuples of two grids are one object, so they share their partitions
+            grid = self._grids[key] = tuple(self._interned.setdefault(t, t)
+                                            for t in itertools.product(points, repeat=k))
+            self._owned.update(zip(map(id, grid), grid))
+        return grid
 
     def traces(self, phi: PartitionedFormula, points, candidates):
         """For each candidate b, in order and lazily, the int whose bit i is

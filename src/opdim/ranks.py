@@ -74,12 +74,15 @@ def _nonempty_base(q: RankQuery):
 
 
 class _RankEngine:
-    """Memoized computation of 'rank >= r' by the splitting recursion."""
+    """Memoized computation of 'rank >= r' by the splitting recursion.  A
+    node is a plain loop: the 2^n sign vectors are listed once per engine,
+    and the context's restrict and is_empty are bound once per node."""
 
     def __init__(self, context, delta, n):
         self.context = context
         self.delta = delta
         self.n = n
+        self.signs = list(itertools.product((1, 0), repeat=n))
         self.memo = {}
 
     def at_least(self, s, r):
@@ -94,20 +97,24 @@ class _RankEngine:
         cached = self.memo.get(key)
         if cached is not None:
             return cached
+        restrict, is_empty = ctx.restrict, ctx.is_empty
         instances = [(phi, params) for phi in self.delta
                      for params in ctx.instance_candidates(phi, s)]
         result = False
         for choice in itertools.combinations(instances, self.n):
             cells = []
-            for sigma in itertools.product((1, 0), repeat=self.n):
+            for sigma in self.signs:
                 cell = s
                 for (phi, params), bit in zip(choice, sigma):
-                    cell = ctx.restrict(cell, phi, params, bit)
-                if ctx.is_empty(cell):
+                    cell = restrict(cell, phi, params, bit)
+                if is_empty(cell):
                     break
                 cells.append(cell)
             else:
-                if all(self.at_least(cell, r - 1) for cell in cells):
+                for cell in cells:
+                    if not self.at_least(cell, r - 1):
+                        break
+                else:
                     result = True
                     break
         self.memo[key] = result
