@@ -10,7 +10,9 @@ the tests.
   coordinate projections that hold an open cell.
 - A satisfiability solver works by disjunctive normal form and order graphs.
 - `_split`, the integer-cell kernel that refines a cell by a new constant,
-  is kept in its first, plainly written form.
+  is kept in its first, plainly written form; so are `standard_grid`, which
+  reads each grid point off its one-variable cell, and the rank memo's key
+  with the fixed constants coded by value (`value_cache_key`).
 
 It imports nothing from `opdim.dlo` but `constants_of` and `DloError`
 (`tests/test_dlo.py::test_reference_imports_nothing_it_checks` holds that),
@@ -19,6 +21,7 @@ so it never reuses the code it checks.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -193,7 +196,7 @@ def dimension(f, m):
 
 
 # ---------------------------------------------------------------------------
-# Cell kernels, kept as they were before `opdim.dlo` rewrote them for speed
+# Cell kernels and keys, kept as they were before `opdim.dlo` rewrote them for speed
 
 
 def _split(cell, r, stride):
@@ -207,6 +210,55 @@ def _split(cell, r, stride):
     # positions from u on move; t blocks of gap r stay below the constant
     return [tuple(q if q < u else q + stride - t if q < hi else q + stride for q in cell)
             for u, t in ((lo + 1 + i // 2, (i + 1) // 2) for i in range(2 * b + 1))]
+
+
+def _gap_blocks(cell, stride, gaps):
+    """The number of variable blocks of the cell in each of `gaps` gaps."""
+    blocks = [0] * gaps
+    for q in cell:
+        g, j = divmod(q, stride)
+        blocks[g] = max(blocks[g], j)
+    return blocks
+
+
+def _point(cell, consts, stride):
+    """The point the cell's order diagram samples, read off the positions:
+    c_i at a constant's; the j-th of b blocks in gap g at
+    c_{g-1} + (c_g - c_{g-1}) j/(b+1) between two constants, c_0 - (b+1-j)
+    below them, c_last + j above them, and j - 1 when there are none."""
+    blocks = _gap_blocks(cell, stride, len(consts) + 1)
+    point = []
+    for q in cell:
+        g, j = divmod(q, stride)
+        if not j:
+            point.append(consts[g - 1])
+        elif not consts:
+            point.append(Fraction(j - 1))
+        elif g == 0:
+            point.append(consts[0] - (blocks[0] + 1 - j))
+        elif g == len(consts):
+            point.append(consts[-1] + j)
+        else:
+            lo, hi = consts[g - 1], consts[g]
+            point.append(lo + (hi - lo) * Fraction(j, blocks[g] + 1))
+    return tuple(point)
+
+
+def standard_grid(consts):
+    """The points of the one-variable cells over the constants, each read
+    off its cell by `_point`: the constants, midpoints between neighbours,
+    and one point beyond each extreme; [0] when there are no constants."""
+    consts = tuple(sorted(set(map(Fraction, consts))))
+    return [_point((q,), consts, 2)[0] for q in range(1, 2 * len(consts) + 2)]
+
+
+def value_cache_key(fixed, s):
+    """The rank memo's key of the normal form s, with the fixed constants
+    `fixed`, as it was coded by value: the cells; the constants of s that
+    are fixed, by value (None for the others); where each fixed constant
+    falls among the constants of s."""
+    return (frozenset(s.cells), tuple(c if c in fixed else None for c in s.consts),
+            tuple(bisect_left(s.consts, c) for c in fixed))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,10 @@ from opdim import (
 import opdim
 from opdim import dlo
 from opdim.dlo import DloSet, Factor, constants_of
-from opdim.ranks import RankQuery, gamma_consistent, op_rank, shelah_rank2
+from opdim.ranks import (
+    RankQuery, RankValue, _RankEngine, _capped_rank, gamma_consistent, localized_opd, op_rank,
+    shelah_rank2,
+)
 from opdim.logic import (
     Const, Elem, PartitionedFormula, conj_all, evaluate, free_vars, rename_vars, signed,
 )
@@ -578,6 +581,20 @@ def test_standard_grid_midpoints_and_padding():
     assert standard_grid([Q(0), Q(1)]) == [Q(-1), Q(0), Q(1, 2), Q(1), Q(2)]
 
 
+def test_standard_grid_agrees_with_the_points_of_its_cells():
+    # the grid is written directly; the reference reads each point off its
+    # one-variable cell with _point's arithmetic
+    rng = random.Random(2626)
+    sizes = set()
+    for case in range(300):
+        consts = [Q(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(rng.randint(0, 6))]
+        consts += [rng.randint(-3, 3) for _ in range(rng.randint(0, 1))]  # an int now and then
+        sizes.add(len(set(consts)))
+        got, want = standard_grid(consts), ref.standard_grid(consts)
+        assert got == want and all(type(v) is Fraction for v in got), (case, consts)
+    assert {0, 1, 2, 5} <= sizes
+
+
 def test_context_fixed_arity():
     ctx = DloContext(2)
     with pytest.raises(DloError):
@@ -635,6 +652,22 @@ def test_context_candidates_repeat_as_equal_tuples():
     first = ctx.instance_candidates(phi, s)
     assert isinstance(first, tuple) and first == ctx.instance_candidates(phi, s)
     assert ctx.witness_params(phi, s.joined().consts) == first
+
+
+def test_context_takes_no_grid_another_context_left_on_a_set():
+    # the grid kept on a normal form belongs to the context that built it: a
+    # second context asked about the same set builds its own, under its own
+    # budget, and fixes phi's constants for its own keys
+    phi = parse_partitioned("x0 ; w : 0 < w & w < x0")
+    wide, narrow = DloContext(1), DloContext(1, max_candidates=3)
+    s = wide.to_set(parse_formula("x0 < 1"))
+    assert len(wide.instance_candidates(phi, s)) == 5
+    with pytest.raises(BudgetExceededError):
+        narrow.instance_candidates(phi, s)
+    other = DloContext(1)
+    grid = other.instance_candidates(phi, s)
+    assert grid == wide.instance_candidates(phi, s) and grid is not wide.instance_candidates(phi, s)
+    assert other._fixed == (Q(0),) and all(other._owned[id(t)] is t for t in grid)
 
 
 def test_context_sat_returns_witness():
@@ -1110,6 +1143,128 @@ def test_restrict_answers_a_sign_pair_from_the_last_partition(monkeypatch):
     assert op_rank(RankQuery(ctx, ctx.top(), (parse_partitioned("x0 ; y : x0 < y"),),
                              cap=8)).capped
     assert len(ctx._splits) == 8
+
+
+# ---------------------------------------------------------------------------
+# Warm lookups: grids per normal form, identity-keyed partitions, integer keys
+
+
+def random_instance(rng, ctx):
+    """A random quantifier-free phi over the context's variables with one or
+    two parameters and up to two constants, and a set of the context made
+    by restricting top by up to three of its instances at grid points."""
+    params = ("w", "v")[:rng.randint(1, 2)]
+    consts = sorted({Q(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(rng.randint(0, 2))})
+    phi = PartitionedFormula(random_qf_formula(rng, list(ctx.obj_vars) + list(params), consts),
+                             ctx.obj_vars, params)
+    s = ctx.top()
+    for _ in range(rng.randint(0, 3)):
+        t = ctx.restrict(s, phi, rng.choice(ctx.instance_candidates(phi, s)), rng.randint(0, 1))
+        s = s if ctx.is_empty(t) else t
+    return phi, s
+
+
+def test_identity_and_value_keys_give_equal_partitions():
+    # restrict keys a candidate the context handed out by identity, anything
+    # else by value: the context's tuple, an equal fresh tuple, a list, a list
+    # changed in place and short-lived tuples (whose ids Python reuses) must
+    # all split the set as a fresh context does
+    rng = random.Random(2627)
+    form = lambda t: [(f.group, f.consts, f.cells) for f in t.factors]
+    checked = 0
+    for case in range(150):
+        ctx = DloContext(rng.randint(1, 2))
+        phi, s = random_instance(rng, ctx)
+        grid = ctx.instance_candidates(phi, s)
+        for t in rng.sample(grid, min(len(grid), 4)):
+            assert ctx._owned.get(id(t)) is t  # the context keeps it, so its id is its own
+            checked += 1
+            want = [form(DloContext(ctx.arity).restrict(s, phi, t, b)) for b in (0, 1)]
+            for params in (t, tuple(list(t)), list(t)):
+                assert [form(ctx.restrict(s, phi, params, b)) for b in (0, 1)] == want, case
+            values = list(t)
+            for _ in range(3):
+                values[rng.randrange(len(values))] = Q(rng.randint(-6, 6), 2)
+                want = form(DloContext(ctx.arity).restrict(s, phi, tuple(values), 1))
+                assert form(ctx.restrict(s, phi, values, 1)) == want, (case, values)
+        for _ in range(8):
+            values = tuple(Q(rng.randint(-6, 6), 2) for _ in phi.param_vars)
+            want = form(DloContext(ctx.arity).restrict(s, phi, values, 0))
+            assert form(ctx.restrict(s, phi, values, 0)) == want, (case, values)
+    assert checked >= 350
+
+
+class CopiedCandidates(DloContext):
+    """The symbolic context handing out a fresh copy of each candidate on
+    every call, so restrict keys every instance by value."""
+
+    def instance_candidates(self, phi, s=None):
+        return tuple(tuple(list(t)) for t in super().instance_candidates(phi, s))
+
+
+def test_engines_answer_alike_on_copies_of_the_candidates():
+    rng = random.Random(2628)
+    for case in range(60):
+        arity = rng.randint(1, 2)
+        phi, _ = random_instance(rng, DloContext(arity))
+        answers, memos = [], []
+        for ctx in (DloContext(arity), CopiedCandidates(arity)):
+            engine = _RankEngine(ctx, (phi,), 1)
+            query = RankQuery(ctx, ctx.top(), (phi,), cap=3)
+            answers.append((_capped_rank(engine, query), shelah_rank2(query),
+                            gamma_consistent(ctx, ctx.top(), phi, 1, 2)[0]))
+            memos.append(engine.memo)
+        assert answers[0] == answers[1] and memos[0] == memos[1], (case, phi)
+
+
+def test_cache_key_codes_fixed_constants_by_index():
+    # the key codes each fixed constant by its index in ctx._fixed; two sets
+    # share a key exactly when they share the reference's value-coded key,
+    # also across keys built before and after the fixed constants grew
+    rng = random.Random(2629)
+    shared = grew = 0
+    for case in range(80):
+        ctx = DloContext(rng.randint(1, 2))
+        keys = []
+        for _ in range(rng.randint(2, 4)):
+            fixed = ctx._fixed
+            _, s = random_instance(rng, ctx)
+            grew += ctx._fixed is not fixed
+            for t in (s, ctx.to_set(parse_formula(f"x0 < {Q(rng.randint(-4, 4), 2)}"))):
+                key = ctx.cache_key(t)
+                assert all(type(i) is int for i in key[1] + key[2] if i is not None)
+                keys.append((key, ref.value_cache_key(ctx._fixed, t.joined().normal_form())))
+        for (a, va), (b, vb) in itertools.combinations(keys, 2):
+            assert (a == b) == (va == vb), case
+            shared += a == b
+    assert shared >= 150 and grew >= 60
+
+
+def test_warm_rank_queries_hash_no_rational(monkeypatch):
+    # on a warm context a rank node finds its grid on the normal form, its
+    # partitions by the candidates' identity and its memo entry by an
+    # integer-coded key, so repeating the queries hashes no Fraction
+    ctx = DloContext(1)
+    phis = [parse_partitioned(t) for t in (
+        "x0 ; y : x0 < y", "x0 ; y : y < x0 & x0 < 1/3", "x0 ; y : x0 = y | x0 = 1/3",
+        "x0 ; y z : y < x0 & x0 < z", "x0 ; y z : x0 = y | x0 = z")]
+
+    def queries():
+        for phi in phis:
+            query = RankQuery(ctx, ctx.top(), (phi,), cap=4)
+            yield op_rank(query), shelah_rank2(query), gamma_consistent(ctx, ctx.top(), phi, 1, 2)[0]
+            yield localized_opd(ctx, ctx.top(), [phi], cap=4, max_n=2)
+    # a second round sees every formula's constants fixed from the start
+    want = [list(queries()) for _ in range(2)][1]
+    calls = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: calls.append(self) or real(self))
+    for _ in range(3):
+        assert list(queries()) == want
+    hashed = len(calls)
+    hash(Q(1, 3))  # the count works
+    assert hashed == 0 and len(calls) == 1
+    assert want[0] == (RankValue.at_least(4), RankValue.at_least(4), True)
 
 
 def coarsened(s, consts, variables):

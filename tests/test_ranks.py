@@ -68,6 +68,20 @@ def test_shelah_rank_long_chain_hits_low_cap():
     assert shelah_rank2(q).to_json() == {"at_least": 1}
 
 
+def test_finite_candidates_are_one_tuple_per_parameter_count():
+    # every rank node asks for its candidates: one tuple is kept per
+    # parameter count, shared by every formula with that many parameters
+    m = chain(4)
+    ctx = FiniteContext(m)
+    one = ctx.instance_candidates(LT, full(ctx))
+    assert one == tuple((a,) for a in m.universe)
+    assert ctx.instance_candidates(LT) is one and ctx.witness_params(LT) is one
+    assert ctx.instance_candidates(parse_partitioned("x ; z : z < x")) is one
+    two = ctx.instance_candidates(parse_partitioned("x ; y z : y < x & x < z"))
+    assert two == tuple(itertools.product(m.universe, repeat=2))
+    assert ctx.instance_candidates(parse_partitioned("x ; y z : y < z")) is two
+
+
 def test_empty_type_is_rejected():
     m = chain(3)
     ctx = FiniteContext(m)
